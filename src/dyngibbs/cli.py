@@ -66,6 +66,11 @@ from .mrf import (
     dobrushin_check,
     validate_feasibility,
 )
+from .rng import (
+    BENCH_STREAM_OFFSET,
+    VERIFY_FRESH_STREAM_OFFSET,
+    VERIFY_UPDATE_STREAM_OFFSET,
+)
 from .updater import apply_update_multi, new_chain_set
 
 EXIT_OK = 0
@@ -74,7 +79,6 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
-_BENCH_STREAM = 1 << 34
 _SPEEDUP_TARGET = 0.2
 
 
@@ -424,7 +428,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     cs = new_chain_set(inst, params, sched)
     setup_s = time.perf_counter() - t0
     rows = []
-    bench_stream = _BENCH_STREAM
+    bench_stream = BENCH_STREAM_OFFSET
     total_dyn = total_base = 0.0
     for step, batch in enumerate(batches, 1):
         t0 = time.perf_counter()
@@ -587,10 +591,12 @@ def _verify_law(rng) -> tuple[bool, str]:
     counts_fresh = [0] * 8
     for i in range(reps):
         log = run_chain(old, params, stream=i)
-        execute_update(plan, log, make_stream(params.seed, (1 << 40) + i))
+        execute_update(
+            plan, log, make_stream(params.seed, VERIFY_UPDATE_STREAM_OFFSET + i)
+        )
         fc = log.final_config()
         counts_dyn[fc[0] + 2 * fc[1] + 4 * fc[2]] += 1
-        log2 = run_chain(plan.final, params, stream=(1 << 41) + i)
+        log2 = run_chain(plan.final, params, stream=VERIFY_FRESH_STREAM_OFFSET + i)
         fc2 = log2.final_config()
         counts_fresh[fc2[0] + 2 * fc2[1] + 4 * fc2[2]] += 1
     tv = sum(abs(a - b) for a, b in zip(counts_dyn, counts_fresh)) / (2 * reps)
@@ -727,7 +733,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--queries", help="queries JSON file")
         p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; chains are updated serially",
+        )
         p.add_argument(
             "--length-override",
             type=int,

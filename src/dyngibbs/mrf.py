@@ -184,12 +184,24 @@ class UpdateBatch:
 class MrfInstance:
     """Immutable MRF instance.
 
-    Construction copies the given mappings; potential objects themselves are
-    shared (they are immutable). Batch application produces a new instance
-    that shares every untouched potential.
+    The constructor validates everything it is given, since that is outside
+    input, and copies the given mappings; potential objects themselves are
+    shared (they are immutable).
+
+    ``apply_batch`` derives a child from a validated parent in time
+    proportional to the batch: every map the batch leaves alone is shared as
+    the same object, the others are copied at C level, and only the vertices
+    and edges the batch names are validated and have their adjacency
+    re-sorted. The child remembers which items its batch named, but keeps no
+    reference to its parent; ``instance_delta`` uses that record to compare a
+    parent with its child in O(|batch|), and ``validate_feasibility`` to
+    re-check only the touched vertices.
     """
 
-    __slots__ = ("domain", "_vertices", "_edges", "_adj", "_ids", "_compiled")
+    __slots__ = (
+        "domain", "_vertices", "_edges", "_adj", "_ids", "_ekeys", "_compiled",
+        "_token", "_origin", "_feas",
+    )
 
     def __init__(
         self,
@@ -228,10 +240,14 @@ class MrfInstance:
 
         self.domain = domain
         self._vertices = vdict
-        self._edges = dict(sorted(edict.items()))
+        self._edges = edict
         self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
         self._ids = tuple(sorted(vdict))
+        self._ekeys = tuple(sorted(edict))
         self._compiled = None
+        self._token = object()
+        self._origin = None
+        self._feas = None
 
     # -- read access ---------------------------------------------------------
 
@@ -241,10 +257,13 @@ class MrfInstance:
 
     @property
     def n(self) -> int:
-        return len(self._ids)
+        return len(self._vertices)
 
     def vertex_ids(self) -> tuple[int, ...]:
-        return self._ids
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = tuple(sorted(self._vertices))
+        return ids
 
     def has_vertex(self, v: int) -> bool:
         return v in self._vertices
@@ -256,7 +275,10 @@ class MrfInstance:
             raise UnknownVertex(f"vertex {v}") from None
 
     def edge_keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._edges)
+        keys = self._ekeys
+        if keys is None:
+            keys = self._ekeys = tuple(sorted(self._edges))
+        return keys
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self._edges
@@ -272,6 +294,10 @@ class MrfInstance:
             return self._adj[v]
         except KeyError:
             raise UnknownVertex(f"vertex {v}") from None
+
+    def adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """Vertex -> ascending neighbour tuple, by reference; do not mutate."""
+        return self._adj
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -299,11 +325,22 @@ class MrfInstance:
     # -- batch application ----------------------------------------------------
 
     def apply_batch(self, batch: UpdateBatch) -> "MrfInstance":
-        """Apply an ordered batch, validating every record; returns a new instance."""
+        """Apply an ordered batch, validating every record; returns a new instance.
+
+        Costs O(|batch| * Δ) plus a C-level copy of each map the batch
+        changes. An invalid batch raises InvalidBatch and leaves self as it
+        was. The child carries self's feasibility answer forward, with the
+        touched vertices marked for re-checking.
+        """
         q = self.q
-        vertices = dict(self._vertices)
-        edges = dict(self._edges)
-        adj = {v: set(nb) for v, nb in self._adj.items()}
+        # Maps are copied on their first write, so untouched ones are shared.
+        vertices = self._vertices
+        edges = self._edges
+        adj = self._adj
+        ids_changed = keys_changed = False
+        nbrs: dict[int, set[int]] = {}  # working neighbour sets, touched vertices
+        named_v: set[int] = set()
+        named_e: set[tuple[int, int]] = set()
 
         def _arity_v(phi: VertexPotential):
             if len(phi) != q:
@@ -313,21 +350,35 @@ class MrfInstance:
             if len(phi) != q:
                 raise InvalidBatch(f"edge potential size {len(phi)} != q={q}")
 
+        def _nbrs(v: int) -> set[int]:
+            s = nbrs.get(v)
+            if s is None:
+                s = nbrs[v] = set(adj[v])
+            return s
+
         for rec in batch:
             if isinstance(rec, AddVertex):
                 if rec.vertex in vertices:
                     raise InvalidBatch(f"add_vertex: {rec.vertex} already present")
                 _check_id(rec.vertex)
                 _arity_v(rec.potential)
+                if vertices is self._vertices:
+                    vertices = dict(vertices)
                 vertices[rec.vertex] = rec.potential
-                adj[rec.vertex] = set()
+                nbrs[rec.vertex] = set()
+                named_v.add(rec.vertex)
+                ids_changed = True
             elif isinstance(rec, DeleteVertex):
                 if rec.vertex not in vertices:
                     raise InvalidBatch(f"del_vertex: {rec.vertex} not present")
-                if adj[rec.vertex]:
+                if _nbrs(rec.vertex):
                     raise InvalidBatch(f"del_vertex: {rec.vertex} is not isolated")
+                if vertices is self._vertices:
+                    vertices = dict(vertices)
                 del vertices[rec.vertex]
-                del adj[rec.vertex]
+                del nbrs[rec.vertex]
+                named_v.add(rec.vertex)
+                ids_changed = True
             elif isinstance(rec, AddEdge):
                 key = edge_key(rec.u, rec.v)
                 if rec.u == rec.v:
@@ -337,31 +388,76 @@ class MrfInstance:
                 if key in edges:
                     raise InvalidBatch(f"add_edge: {key} already present")
                 _arity_e(rec.potential)
+                if edges is self._edges:
+                    edges = dict(edges)
                 edges[key] = rec.potential
-                adj[rec.u].add(rec.v)
-                adj[rec.v].add(rec.u)
+                _nbrs(rec.u).add(rec.v)
+                _nbrs(rec.v).add(rec.u)
+                named_e.add(key)
+                keys_changed = True
             elif isinstance(rec, DeleteEdge):
                 key = edge_key(rec.u, rec.v)
                 if key not in edges:
                     raise InvalidBatch(f"del_edge: {key} not present")
+                if edges is self._edges:
+                    edges = dict(edges)
                 del edges[key]
-                adj[rec.u].discard(rec.v)
-                adj[rec.v].discard(rec.u)
+                _nbrs(rec.u).discard(rec.v)
+                _nbrs(rec.v).discard(rec.u)
+                named_e.add(key)
+                keys_changed = True
             elif isinstance(rec, SetVertexPotential):
                 if rec.vertex not in vertices:
                     raise InvalidBatch(f"set_vertex_phi: {rec.vertex} not present")
                 _arity_v(rec.potential)
+                if vertices is self._vertices:
+                    vertices = dict(vertices)
                 vertices[rec.vertex] = rec.potential
+                named_v.add(rec.vertex)
             elif isinstance(rec, SetEdgePotential):
                 key = edge_key(rec.u, rec.v)
                 if key not in edges:
                     raise InvalidBatch(f"set_edge_phi: {key} not present")
                 _arity_e(rec.potential)
+                if edges is self._edges:
+                    edges = dict(edges)
                 edges[key] = rec.potential
+                named_e.add(key)
             else:
                 raise InvalidBatch(f"unknown record type {type(rec).__name__}")
 
-        return MrfInstance(self.domain, vertices, edges)
+        if nbrs or ids_changed:
+            adj = dict(adj)
+            for v in named_v:
+                if v not in vertices:
+                    adj.pop(v, None)
+            for v, s in nbrs.items():
+                adj[v] = tuple(sorted(s))
+
+        child = MrfInstance.__new__(MrfInstance)
+        child.domain = self.domain
+        child._vertices = vertices
+        child._edges = edges
+        child._adj = adj
+        child._ids = None if ids_changed else self._ids
+        child._ekeys = None if keys_changed else self._ekeys
+        child._compiled = None
+        child._token = object()
+        # The parent's token, not the parent: no instance keeps its parent alive.
+        child._origin = (self._token, frozenset(named_v), frozenset(named_e))
+        child._feas = None
+        if self._feas is not None:
+            cap, bad, pending = self._feas
+            touched = set(named_v)
+            for u, v in named_e:
+                touched.add(u)
+                touched.add(v)
+            child._feas = (
+                cap,
+                {v: s for v, s in bad.items() if v not in touched},
+                pending | touched,
+            )
+        return child
 
     # -- compiled accelerator --------------------------------------------------
 
@@ -510,29 +606,62 @@ def _l1_matrix(a, b) -> float:
     return total
 
 
+def _map_delta(a: Mapping, b: Mapping) -> set:
+    if a is b:
+        return set()
+    out = set(a.keys() ^ b.keys())
+    for k in a.keys() & b.keys():
+        if a[k] != b[k]:
+            out.add(k)
+    return out
+
+
+def instance_delta(
+    before: MrfInstance, after: MrfInstance
+) -> tuple[frozenset, frozenset]:
+    """Vertex ids and edge keys outside which the two instances agree, on
+    presence and on potential.
+
+    When `after` was derived from `before` by one ``apply_batch``, these are
+    the items the batch named, found in O(1); they may include items that
+    came back to their old state. Any other pair gets the exact difference
+    from a full comparison, O(n + m).
+    """
+    if before.q != after.q:
+        raise DomainMismatch(f"q={before.q} vs q={after.q}")
+    origin = after._origin
+    if origin is not None and origin[0] is before._token:
+        return origin[1], origin[2]
+    return (
+        frozenset(_map_delta(before._vertices, after._vertices)),
+        frozenset(_map_delta(before._edges, after._edges)),
+    )
+
+
 def instance_diff(a: MrfInstance, b: MrfInstance) -> InstanceDiff:
     """Symmetric-difference counts plus L1 potential distance on shared items.
 
     A finite/-inf mismatch inside any shared potential makes d_ham infinite,
-    which downstream code treats as "regenerate from scratch".
+    which downstream code treats as "regenerate from scratch". Only the items
+    ``instance_delta`` names are visited, so a parent and its derived child
+    compare in O(|batch|).
     """
-    if a.q != b.q:
-        raise DomainMismatch(f"q={a.q} vs q={b.q}")
-    va, vb = set(a.vertex_ids()), set(b.vertex_ids())
-    ea, eb = set(a.edge_keys()), set(b.edge_keys())
-    d_graph = float(len(va ^ vb) + len(ea ^ eb))
+    dv, de = instance_delta(a, b)
+    d_graph = 0
     d_ham = 0.0
-    for v in va & vb:
-        t = _l1(a.vertex_potential(v).weights, b.vertex_potential(v).weights)
-        if t == INF:
-            return InstanceDiff(d_graph, INF)
-        d_ham += t
-    for u, v in ea & eb:
-        t = _l1_matrix(a.edge_potential(u, v).weights, b.edge_potential(u, v).weights)
-        if t == INF:
-            return InstanceDiff(d_graph, INF)
-        d_ham += t
-    return InstanceDiff(d_graph, d_ham)
+    for v in dv:
+        pa, pb = a._vertices.get(v), b._vertices.get(v)
+        if pa is None or pb is None:
+            d_graph += pa is not pb
+            continue
+        d_ham += _l1(pa.weights, pb.weights)  # an infinite term stays infinite
+    for k in de:
+        pa, pb = a._edges.get(k), b._edges.get(k)
+        if pa is None or pb is None:
+            d_graph += pa is not pb
+            continue
+        d_ham += _l1_matrix(pa.weights, pb.weights)
+    return InstanceDiff(float(d_graph), d_ham)
 
 
 # ---------------------------------------------------------------------------
@@ -564,47 +693,88 @@ def _has_permissive_spin(inst: MrfInstance, v: int) -> bool:
     return False
 
 
+_OVER_CAP = "over the enumeration cap"
+
+
+def _violation(inst: MrfInstance, v: int, degree_cap: int):
+    """None when every boundary of v leaves some spin possible; otherwise the
+    first violating boundary, or _OVER_CAP when v would need an enumeration
+    over more than degree_cap neighbours."""
+    if _has_permissive_spin(inst, v):
+        return None
+    nbrs = inst.neighbors(v)
+    if len(nbrs) > degree_cap:
+        return _OVER_CAP
+    q = inst.q
+    view = local_restriction(inst, v)
+    phi = view.phi
+    rows = [view.edge_phi[u] for u in nbrs]
+    for sigma in itertools.product(range(q), repeat=len(nbrs)):
+        ok = False
+        for c in range(q):
+            if phi[c] == NEG_INF:
+                continue
+            if all(rows[i][xu][c] > NEG_INF for i, xu in enumerate(sigma)):
+                ok = True
+                break
+        if not ok:
+            return tuple(zip(nbrs, sigma))
+    return None
+
+
+def _violations(inst: MrfInstance, degree_cap: int) -> dict:
+    finite_everywhere = all(
+        w > NEG_INF for phi in inst._vertices.values() for w in phi.weights
+    ) and all(
+        w > NEG_INF for phi in inst._edges.values() for row in phi.weights for w in row
+    )
+    if finite_everywhere:
+        return {}
+    bad = {}
+    for v in inst.vertex_ids():
+        s = _violation(inst, v, degree_cap)
+        if s is not None:
+            bad[v] = s
+    return bad
+
+
 def validate_feasibility(inst: MrfInstance, *, degree_cap: int = 8) -> FeasibilityReport:
     """Check that every boundary of every vertex leaves some spin possible.
 
     Returns a report rather than raising; the first violating (vertex,
-    boundary) pair is named. Enumeration is exponential in degree, so vertices
-    that cannot be short-circuited must have degree <= degree_cap.
-    """
-    q = inst.q
-    finite_everywhere = all(
-        w > NEG_INF for v in inst.vertex_ids() for w in inst.vertex_potential(v).weights
-    ) and all(
-        w > NEG_INF
-        for k in inst.edge_keys()
-        for row in inst.edge_potential(*k).weights
-        for w in row
-    )
-    if finite_everywhere:
-        return FeasibilityReport(True)
+    boundary) pair in ascending vertex order is named. Enumeration is
+    exponential in degree, so the first vertex that cannot be short-circuited
+    and has degree > degree_cap raises DegreeTooLarge, unless a violation
+    comes before it.
 
-    for v in inst.vertex_ids():
-        if _has_permissive_spin(inst, v):
-            continue
-        nbrs = inst.neighbors(v)
-        if len(nbrs) > degree_cap:
-            raise DegreeTooLarge(
-                f"vertex {v}: degree {len(nbrs)} exceeds enumeration cap {degree_cap}"
-            )
-        view = local_restriction(inst, v)
-        phi = view.phi
-        rows = [view.edge_phi[u] for u in nbrs]
-        for sigma in itertools.product(range(q), repeat=len(nbrs)):
-            ok = False
-            for c in range(q):
-                if phi[c] == NEG_INF:
-                    continue
-                if all(rows[i][xu][c] > NEG_INF for i, xu in enumerate(sigma)):
-                    ok = True
-                    break
-            if not ok:
-                return FeasibilityReport(False, v, tuple(zip(nbrs, sigma)))
-    return FeasibilityReport(True)
+    The answer is kept on the instance as the set of violating vertices, and
+    ``apply_batch`` carries it forward to the child with the touched vertices
+    marked. On an instance derived from a checked one this costs
+    O(|touched| * q^Δ) instead of a scan of every vertex and edge.
+    """
+    feas = inst._feas
+    if feas is not None and feas[0] == degree_cap:
+        _, bad, pending = feas
+        for v in pending:
+            s = _violation(inst, v, degree_cap) if v in inst._vertices else None
+            if s is None:
+                bad.pop(v, None)
+            else:
+                bad[v] = s
+        if pending:
+            inst._feas = (degree_cap, bad, frozenset())
+    else:
+        bad = _violations(inst, degree_cap)
+        inst._feas = (degree_cap, bad, frozenset())
+    if not bad:
+        return FeasibilityReport(True)
+    v = min(bad)
+    s = bad[v]
+    if s is _OVER_CAP:
+        raise DegreeTooLarge(
+            f"vertex {v}: degree {inst.degree(v)} exceeds enumeration cap {degree_cap}"
+        )
+    return FeasibilityReport(False, v, s)
 
 
 # ---------------------------------------------------------------------------

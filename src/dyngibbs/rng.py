@@ -6,11 +6,21 @@ that every chain, update, and benchmark is reproducible from (seed, stream).
 Conventions, relied on throughout:
 
 * ``make_stream(seed, stream)`` keys a Philox generator with the two 64-bit
-  words (seed, stream). Chain i always uses stream i; auxiliary consumers
-  (benchmark baselines) use ids offset by 2**32 so they never collide.
+  words (seed, stream).
 * Every random decision consumes exactly one ``Generator.random()`` float64
   uniform. Categorical draws use inverse-CDF over ascending spin index.
 * A Gibbs step consumes its uniforms in the order: vertex pick, spin draw.
+
+Stream ids are one registry of disjoint 64-bit ranges:
+
+* ``[0, 2**32)``: free for direct ``run_chain`` callers (its default is 0).
+* ``[2**32, 2**33)``: pool chains. ``new_chain_set`` gives chain i stream
+  ``BASELINE_STREAM_OFFSET + i``; chains added on a resize take the next
+  unused ids.
+* ``[2**33, 2**33 + 2**62)``: replay draws, ``update_stream(epoch, chain)``.
+* ``[2**63, 2**63 + 2**61)``: baselines regenerated by ``dyngibbs bench``.
+* ``[2**63 + 2**61, 2**63 + 2**62)`` and ``[2**63 + 2**62, 2**64)``: the
+  updated and the fresh chains of ``dyngibbs verify``'s law check.
 """
 
 from __future__ import annotations
@@ -26,18 +36,34 @@ __all__ = [
     "geometric_skip",
     "BASELINE_STREAM_OFFSET",
     "UPDATE_STREAM_OFFSET",
+    "BENCH_STREAM_OFFSET",
+    "VERIFY_UPDATE_STREAM_OFFSET",
+    "VERIFY_FRESH_STREAM_OFFSET",
     "update_stream",
 ]
 
 BASELINE_STREAM_OFFSET = 1 << 32
 
-# Coupled-replay phases draw from their own stream space: disjoint from chain
-# creation streams (small ints) and from benchmark baselines (2**32 block).
 UPDATE_STREAM_OFFSET = 1 << 33
+UPDATE_EPOCHS = 1 << 30
+UPDATE_CHAINS = 1 << 32
+
+BENCH_STREAM_OFFSET = 1 << 63
+VERIFY_UPDATE_STREAM_OFFSET = (1 << 63) + (1 << 61)
+VERIFY_FRESH_STREAM_OFFSET = (1 << 63) + (1 << 62)
 
 
 def update_stream(epoch: int, chain: int) -> int:
-    """Stream id for the replay randomness of one chain in one update epoch."""
+    """Stream id for the replay randomness of one chain in one update epoch.
+
+    Raises ValueError unless 0 <= epoch < 2**30 and 0 <= chain < 2**32, the
+    bounds that keep every id inside the replay range and distinct.
+    """
+    if not (0 <= epoch < UPDATE_EPOCHS and 0 <= chain < UPDATE_CHAINS):
+        raise ValueError(
+            f"update_stream({epoch}, {chain}) outside 0 <= epoch < 2**30, "
+            f"0 <= chain < 2**32"
+        )
     return UPDATE_STREAM_OFFSET + (epoch << 32) + chain
 
 _MASK64 = (1 << 64) - 1

@@ -14,6 +14,16 @@ where they can disagree are visited. Disagreements are tracked in a set D;
 a rank needs a visit iff it is a pre-sampled correction step, its vertex's
 boundary intersects D, or its vertex itself sits in D. Everything else is
 provably identical on both chains and is skipped.
+
+Cost model. An edit costs its footprint, not the size of the model. The plan
+is built once per batch from the batch's own records: O(|batch| * Δ) plus
+C-level copies of the instance maps a phase changes; every intermediate
+instance is derived from the one before it, so each phase's precondition
+check compares only the items the batch named. Each chain then costs
+O(visits): the replays take the instance's adjacency mapping by reference
+and do no work proportional to n or m. The feasibility of the planned
+instance is decided before any chain is touched, from the answer carried
+forward from the current instance, in O(|touched|).
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .engine import (
     run_chain,
 )
 from .errors import (
+    DegreeTooLarge,
     GraphMismatch,
     InfeasibleInstance,
     NotIsolated,
@@ -47,13 +58,16 @@ from .mrf import (
     AddEdge,
     AddVertex,
     DeleteEdge,
+    DeleteVertex,
     LocalView,
     MrfInstance,
     SetEdgePotential,
     SetVertexPotential,
     UpdateBatch,
+    instance_delta,
     instance_diff,
     local_restriction,
+    validate_feasibility,
 )
 from .rng import (
     BASELINE_STREAM_OFFSET,
@@ -203,11 +217,10 @@ def update_hamiltonian(
     (always one uniform) decides whether Y is redrawn from the kernel that
     maps the old conditional onto the new one.
     """
-    if set(old_inst.vertex_ids()) != set(new_inst.vertex_ids()) or set(
-        old_inst.edge_keys()
-    ) != set(new_inst.edge_keys()):
+    dv, de = instance_delta(old_inst, new_inst)
+    if _presence_changes(old_inst, new_inst, dv, de):
         raise GraphMismatch("potential phase requires identical graphs")
-    adj = {v: old_inst.neighbors(v) for v in old_inst.vertex_ids()}
+    adj = old_inst.adjacency()
     rp = _Replay(log, adj)
     fsteps = filt.steps
     nf = len(fsteps)
@@ -285,24 +298,17 @@ def update_edge(
     boundary, through the maximal coupling of two old-law conditionals, which
     is sound because no edge incident to them changed.
     """
-    if set(old_inst.vertex_ids()) != set(new_inst.vertex_ids()):
+    dv, de = instance_delta(old_inst, new_inst)
+    if _presence_changes(old_inst, new_inst, dv, ()):
         raise VertexSetMismatch("edge phase cannot change the vertex set")
-    for v in old_inst.vertex_ids():
-        if old_inst.vertex_potential(v) != new_inst.vertex_potential(v):
-            raise SharedPotentialMismatch(f"vertex {v} potential differs")
-    e_old = set(old_inst.edge_keys())
-    e_new = set(new_inst.edge_keys())
-    for e in e_old & e_new:
-        if old_inst.edge_potential(*e) != new_inst.edge_potential(*e):
-            raise SharedPotentialMismatch(f"edge {e} potential differs")
-    changed = e_old ^ e_new
-    if not changed:
-        return 0
+    _check_shared_potentials(old_inst, new_inst, dv, de)
     touched = set()
-    for u, w in changed:
+    for u, w in _presence_changes(old_inst, new_inst, (), de):
         touched.add(u)
         touched.add(w)
-    adj = {v: old_inst.neighbors(v) for v in old_inst.vertex_ids()}
+    if not touched:
+        return 0
+    adj = old_inst.adjacency()
     rp = _Replay(log, adj, extra=touched)
     old_views: dict[int, LocalView] = {}
     new_views: dict[int, LocalView] = {}
@@ -351,16 +357,33 @@ def update_edge(
 # Vertex-set phases
 # ---------------------------------------------------------------------------
 
-def _check_shared(before: MrfInstance, after: MrfInstance, vertices) -> None:
-    for v in vertices:
-        if before.vertex_potential(v) != after.vertex_potential(v):
-            raise SharedPotentialMismatch(f"vertex {v} potential differs")
-    e_b = set(before.edge_keys())
-    if e_b != set(after.edge_keys()):
+def _presence_changes(before: MrfInstance, after: MrfInstance, dv, de) -> list:
+    """The vertices of dv, then the edges of de, present in exactly one of
+    the two instances; ascending."""
+    out = [v for v in sorted(dv) if before.has_vertex(v) != after.has_vertex(v)]
+    out += [e for e in sorted(de) if before.has_edge(*e) != after.has_edge(*e)]
+    return out
+
+
+def _check_shared_potentials(before: MrfInstance, after: MrfInstance, dv, de) -> None:
+    """Raise on the first item of dv, then de, present in both instances with
+    different potentials; ascending, as a full scan would meet them."""
+    for v in sorted(dv):
+        if before.has_vertex(v) and after.has_vertex(v):
+            if before.vertex_potential(v) != after.vertex_potential(v):
+                raise SharedPotentialMismatch(f"vertex {v} potential differs")
+    for e in sorted(de):
+        if before.has_edge(*e) and after.has_edge(*e):
+            if before.edge_potential(*e) != after.edge_potential(*e):
+                raise SharedPotentialMismatch(f"edge {e} potential differs")
+
+
+def _check_vertex_phase(before: MrfInstance, after: MrfInstance, dv, de) -> None:
+    # Shared vertex potentials, then the edge set, then shared edge potentials.
+    _check_shared_potentials(before, after, dv, ())
+    if _presence_changes(before, after, (), de):
         raise GraphMismatch("edge set must not change in a vertex phase")
-    for e in e_b:
-        if before.edge_potential(*e) != after.edge_potential(*e):
-            raise SharedPotentialMismatch(f"edge {e} potential differs")
+    _check_shared_potentials(before, after, (), de)
 
 
 def _isolated_initial(inst: MrfInstance, v: int) -> int:
@@ -380,15 +403,15 @@ def add_vertices(
     site gets a uniform new vertex and a spin from its own potential. The
     result is distributed as a fresh run of the enlarged instance.
     """
-    v_b = set(before.vertex_ids())
-    v_a = set(after.vertex_ids())
-    if v_b - v_a:
+    dv, de = instance_delta(before, after)
+    changed = _presence_changes(before, after, dv, ())
+    if any(before.has_vertex(v) for v in changed):
         raise GraphMismatch("additions only: vertices missing from the target")
-    added = sorted(v_a - v_b)
+    added = changed
     for a in added:
         if after.degree(a):
             raise NotIsolated(f"vertex {a} must be added isolated")
-    _check_shared(before, after, sorted(v_b))
+    _check_vertex_phase(before, after, dv, de)
     if not added:
         return
     T = log.length
@@ -422,15 +445,15 @@ def delete_vertices(
 ) -> None:
     """Remove isolated vertices and every transition touching them, then
     extend the tail back to the original length under the shrunk instance."""
-    v_b = set(before.vertex_ids())
-    v_a = set(after.vertex_ids())
-    if v_a - v_b:
+    dv, de = instance_delta(before, after)
+    changed = _presence_changes(before, after, dv, ())
+    if any(after.has_vertex(v) for v in changed):
         raise GraphMismatch("deletions only: unexpected new vertices")
-    removed = sorted(v_b - v_a)
+    removed = changed
     for v in removed:
         if before.degree(v):
             raise NotIsolated(f"vertex {v} must be isolated before deletion")
-    _check_shared(before, after, sorted(v_a))
+    _check_vertex_phase(before, after, dv, de)
     if not removed:
         return
     T = log.length
@@ -470,29 +493,43 @@ class _UpdatePlan:
     phases: tuple  # (name, before_inst, after_inst) triples, in order
 
 
-def _shared_potential_records(old: MrfInstance, target: MrfInstance) -> list:
-    recs = []
-    for v in old.vertex_ids():
-        if target.has_vertex(v):
-            pv = target.vertex_potential(v)
-            if pv != old.vertex_potential(v):
-                recs.append(SetVertexPotential(v, pv))
-    for u, w in old.edge_keys():
-        if target.has_edge(u, w):
-            pe = target.edge_potential(u, w)
-            if pe != old.edge_potential(u, w):
-                recs.append(SetEdgePotential(u, w, pe))
-    return recs
-
-
 def plan_update(
     inst: MrfInstance, batch: UpdateBatch, params: ChainParams
 ) -> _UpdatePlan:
     """Resolve the batch into the phase pipeline; no randomness involved, so
-    one plan serves every chain."""
+    one plan serves every chain.
+
+    Everything is read off the batch's own records: the net change of each
+    named vertex and edge gives the potential records and the phase lists,
+    and every intermediate instance is derived from the one before it, so
+    the plan costs O(|batch| * Δ) plus C-level copies of the maps each phase
+    changes, and each phase's precondition check costs O(|batch|).
+    """
     final = inst.apply_batch(batch)
     target = mixing_length(final.n, params)
-    recs = _shared_potential_records(inst, final)
+    dv, de = instance_delta(inst, final)
+    recs = []
+    added, doomed, adds, dels = [], [], [], []
+    for v in sorted(dv):
+        was, now = inst.has_vertex(v), final.has_vertex(v)
+        if was and now:
+            pv = final.vertex_potential(v)
+            if pv != inst.vertex_potential(v):
+                recs.append(SetVertexPotential(v, pv))
+        elif now:
+            added.append(v)
+        elif was:
+            doomed.append(v)
+    for u, w in sorted(de):
+        was, now = inst.has_edge(u, w), final.has_edge(u, w)
+        if was and now:
+            pe = final.edge_potential(u, w)
+            if pe != inst.edge_potential(u, w):
+                recs.append(SetEdgePotential(u, w, pe))
+        elif now:
+            adds.append((u, w))
+        elif was:
+            dels.append((u, w))
     mid = inst.apply_batch(UpdateBatch(recs)) if recs else inst
     if math.isinf(instance_diff(inst, mid).d_ham):
         # A shared potential flipped between finite and -inf: the correction
@@ -514,33 +551,20 @@ def plan_update(
                 pbar[v] = pv
         phases.append(("potentials", inst, mid))
     cur = mid
-    added = sorted(set(final.vertex_ids()) - set(inst.vertex_ids()))
-    if added:
-        plus = cur.apply_batch(
-            UpdateBatch([AddVertex(a, final.vertex_potential(a)) for a in added])
-        )
-        phases.append(("add_vertices", cur, plus))
-        cur = plus
-    e_old = set(inst.edge_keys())
-    e_new = set(final.edge_keys())
-    dels = sorted(e_old - e_new)
-    if dels:
-        nxt = cur.apply_batch(UpdateBatch([DeleteEdge(u, w) for u, w in dels]))
-        phases.append(("delete_edges", cur, nxt))
-        cur = nxt
-    adds = sorted(e_new - e_old)
-    if adds:
-        nxt = cur.apply_batch(
-            UpdateBatch(
-                [AddEdge(u, w, final.edge_potential(u, w)) for u, w in adds]
-            )
-        )
-        phases.append(("add_edges", cur, nxt))
-        cur = nxt
-    doomed = sorted(set(inst.vertex_ids()) - set(final.vertex_ids()))
-    if doomed:
-        phases.append(("delete_vertices", cur, final))
-    return _UpdatePlan(final, target, False, pbar, tuple(phases))
+    steps = (
+        ("add_vertices", [AddVertex(a, final.vertex_potential(a)) for a in added]),
+        ("delete_edges", [DeleteEdge(u, w) for u, w in dels]),
+        ("add_edges", [AddEdge(u, w, final.edge_potential(u, w)) for u, w in adds]),
+        ("delete_vertices", [DeleteVertex(v) for v in doomed]),
+    )
+    for name, records in steps:
+        if records:
+            nxt = cur.apply_batch(UpdateBatch(records))
+            phases.append((name, cur, nxt))
+            cur = nxt
+    # cur equals final by value; it is the instance the last phase updates
+    # the logs to, so it becomes the pool's instance.
+    return _UpdatePlan(cur if phases else final, target, False, pbar, tuple(phases))
 
 
 def _regenerate(final: MrfInstance, target: int, log: ExecutionLog, rng) -> None:
@@ -657,31 +681,33 @@ def apply_update_multi(
 ) -> tuple[SampleDiff, list[UpdateMetrics]]:
     """Update every chain in the pool and resize it to the new sample count.
 
-    Returns the exact diff of the pool's sample set, assembled from each
-    log's final-config journal, so downstream estimators never rescan whole
-    configurations. Chains are independent; threads > 1 updates them in a
-    pool, with results merged in chain order so output is schedule-invariant.
+    All or nothing on infeasible batches: the planned instance's feasibility
+    is checked, in O(|touched|) with the answer carried forward from cs.inst,
+    before any chain is touched, and InfeasibleInstance leaves the pool, its
+    instance, epoch and stream counter as they were. A touched vertex over
+    the enumeration cap is not decided here; callers' own checks see it.
+
+    Costs O(|batch| * Δ) for the plan plus O(visits) per chain. Returns the
+    exact diff of the pool's sample set, assembled from each log's
+    final-config journal, so downstream estimators never rescan whole
+    configurations. Chains are updated one after another in chain order;
+    ``threads`` is accepted for compatibility and has no effect.
     """
     plan = plan_update(cs.inst, batch, cs.params)
+    try:
+        rep = validate_feasibility(plan.final)
+    except DegreeTooLarge:
+        rep = None
+    if rep is not None and not rep.ok:
+        raise InfeasibleInstance(
+            f"updated instance is infeasible at vertex {rep.vertex} under "
+            f"boundary {dict(rep.boundary)}"
+        )
     entries: list[DiffEntry] = []
     metrics: list[UpdateMetrics] = []
     seed, epoch = cs.params.seed, cs.epoch
-    if threads > 1 and len(cs.logs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda iv: _update_one_chain(plan, iv[1], seed, epoch, iv[0]),
-                    enumerate(cs.logs),
-                )
-            )
-    else:
-        results = [
-            _update_one_chain(plan, log, seed, epoch, i)
-            for i, log in enumerate(cs.logs)
-        ]
-    for chain_entries, met in results:
+    for i, log in enumerate(cs.logs):
+        chain_entries, met = _update_one_chain(plan, log, seed, epoch, i)
         entries.extend(chain_entries)
         metrics.append(met)
     cs.inst = plan.final

@@ -1,5 +1,6 @@
 """Harness round-trips, exit codes, and output determinism."""
 
+import hashlib
 import json
 import math
 
@@ -200,3 +201,41 @@ class TestBench:
                     "filter_size", "diff_d", "chains", "n"):
             assert key in row
         assert report["totals"]["dynamic_s"] > 0
+
+
+class TestGolden:
+    # sha256 of estimates.jsonl followed by samples.json for acceptance
+    # criterion 9's run (a potential edit, an edge rewire and a vertex add
+    # under --delta check), as written before instances were derived from
+    # their batches. Any change to seeded output bytes shows here.
+    SHA256 = "a6105f6c659f63bbdd73085f800a7398981d516bf2c6f88c7cc3a59f3823c7b4"
+
+    def test_criterion_9_run_bytes(self, tmp_path):
+        inst = {"q": 2,
+                "vertices": [{"id": v, "phi": [0.0, 0.05]} for v in range(6)],
+                "edges": [{"u": i, "v": (i + 1) % 6,
+                           "phi": [[0.25, -0.25], [-0.25, 0.25]]} for i in range(6)]}
+        (tmp_path / "inst.json").write_text(json.dumps(inst))
+        (tmp_path / "updates.jsonl").write_text(
+            '{"ops":[{"op":"set_vertex_phi","v":2,"phi":[0.15,-0.15]}]}\n'
+            '{"ops":[{"op":"del_edge","u":1,"v":2},'
+            '{"op":"add_edge","u":1,"v":4,"phi":[[0.2,-0.2],[-0.2,0.2]]}]}\n'
+            '{"ops":[{"op":"add_vertex","v":11,"phi":[0.0,0.0]},'
+            '{"op":"add_edge","u":11,"v":0,"phi":[[0.1,-0.1],[-0.1,0.1]]}]}\n')
+        (tmp_path / "queries.json").write_text(json.dumps(
+            [{"id": "m", "kind": "marginal", "a": [0, 3]},
+             {"id": "p", "kind": "posterior", "a": [2], "b": [5], "tau_b": [1]},
+             {"id": "x", "kind": "map", "a": [4], "b": [0]}]))
+        out = tmp_path / "out"
+        assert cli.main([
+            "run",
+            "--instance", str(tmp_path / "inst.json"),
+            "--updates", str(tmp_path / "updates.jsonl"),
+            "--queries", str(tmp_path / "queries.json"),
+            "--schedule", "N=25:0:0,eps=0.1:0:0",
+            "--delta", "check",
+            "--seed", "31337",
+            "--out", str(out),
+        ]) == 0
+        data = (out / "estimates.jsonl").read_bytes() + (out / "samples.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.SHA256

@@ -2,6 +2,7 @@
 work accounting, validation, and the chain pool."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +10,21 @@ import pytest
 from dyngibbs.engine import ChainParams, run_chain
 from dyngibbs.errors import (
     GraphMismatch,
+    InfeasibleInstance,
     NotIsolated,
     SharedPotentialMismatch,
     VertexSetMismatch,
 )
 from dyngibbs.inference import PowerLogFn, ScheduleFns, sample_diff
-from dyngibbs.models import hardcore_instance, ising_instance
+from dyngibbs.models import (
+    coloring_edge,
+    coloring_instance,
+    coloring_vertex,
+    hardcore_instance,
+    ising_edge,
+    ising_instance,
+    ising_vertex,
+)
 from dyngibbs.mrf import (
     AddEdge,
     AddVertex,
@@ -25,6 +35,7 @@ from dyngibbs.mrf import (
     SetVertexPotential,
     UpdateBatch,
     VertexPotential,
+    validate_feasibility,
 )
 from dyngibbs.rng import make_stream, update_stream
 from dyngibbs.updater import (
@@ -255,3 +266,74 @@ class TestChainPool:
             diff, _ = apply_update_multi(cs, batch, threads=threads)
             results.append((cs.samples(), tuple(diff.entries)))
         assert results[0] == results[1]
+
+    def test_infeasible_batch_leaves_pool_untouched(self):
+        # A 3-colouring star whose centre gets a third neighbour: some
+        # boundary then excludes every colour at the centre. The batch used to
+        # rewrite the chains whose replay got there first, then raise.
+        inst = coloring_instance(4, [(0, 1), (0, 2)], 3)
+        cs = new_chain_set(inst, params(60, seed=7), self.schedule(40))
+
+        def state():
+            return [(list(log.transitions()), log.initial_config(),
+                     log.final_config()) for log in cs.logs]
+
+        before = state()
+        inst_before, epoch, stream = cs.inst, cs.epoch, cs.next_stream
+        for batch in (
+            UpdateBatch([AddEdge(0, 3, coloring_edge(3))]),
+            UpdateBatch([AddVertex(9, coloring_vertex(3)),
+                         AddEdge(0, 9, coloring_edge(3))]),
+        ):
+            with pytest.raises(InfeasibleInstance):
+                apply_update_multi(cs, batch)
+            assert state() == before
+            assert cs.inst is inst_before
+            assert (cs.epoch, cs.next_stream) == (epoch, stream)
+
+
+def _ring_plus_matching(n):
+    h = n // 2
+    ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    return ring + [(i, i + h) for i in range(h)]
+
+
+def _update_call_count(n):
+    """Python call events of one fixed batch plus the feasibility check
+    that follows it, on a ring plus a matching with T = 3n and 4 chains."""
+    h = n // 2
+    inst = ising_instance(n, _ring_plus_matching(n), 0.1)
+    validate_feasibility(inst)  # as `dyngibbs run` does on loading
+    sched = ScheduleFns(n_samples=PowerLogFn(4.0, 0.0, 0.0),
+                        eps=PowerLogFn(0.1, 0.0, 0.0))
+    cs = new_chain_set(inst, params(3 * n, seed=5, delta=1.0), sched)
+    batch = UpdateBatch(
+        [SetVertexPotential(v, ising_vertex(0.05)) for v in (5, 17, 101, 333)]
+        + [SetEdgePotential(7, 8, ising_edge(0.12)),
+           DeleteEdge(10, 10 + h), DeleteEdge(20, 20 + h),
+           AddEdge(10, 20 + h, ising_edge(0.1)), AddEdge(20, 10 + h, ising_edge(0.1))])
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        _, metrics = apply_update_multi(cs, batch)
+        validate_feasibility(cs.inst)
+    finally:
+        sys.setprofile(None)
+    return calls, sum(m.r_ham + m.r_graph for m in metrics)
+
+
+def test_update_cost_follows_footprint_not_n():
+    # T/n is fixed, so the expected visits are the same at both sizes; the
+    # Python work of planning, checking and replaying must not grow with n.
+    small, small_visits = _update_call_count(1_000)
+    large, large_visits = _update_call_count(10_000)
+    assert small_visits > 0 and large_visits > 0
+    assert large < 2 * small, (
+        f"{large} calls at n=10^4 vs {small} at n=10^3 "
+        f"({large_visits} vs {small_visits} visits)")
