@@ -272,7 +272,6 @@ class RunConfig:
     seed: int
     queries: Optional[str]
     out: Optional[str]
-    threads: int = 1
     length_override: Optional[int] = None
 
 
@@ -388,7 +387,7 @@ def cmd_run(cfg: RunConfig) -> int:
     with (out / "estimates.jsonl").open("w") as fh:
         _emit_estimates(fh, 0, states)
         for step, batch in enumerate(batches, 1):
-            diff, _metrics = apply_update_multi(cs, batch, threads=cfg.threads)
+            diff, _metrics = apply_update_multi(cs, batch)
             _check_updated(cs.inst)
             if not cfg.delta.startswith("given:"):
                 cs.params = replace(cs.params, delta=resolve_delta(cs.inst, cfg.delta))
@@ -432,7 +431,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     total_dyn = total_base = 0.0
     for step, batch in enumerate(batches, 1):
         t0 = time.perf_counter()
-        diff, metrics = apply_update_multi(cs, batch, threads=cfg.threads)
+        diff, metrics = apply_update_multi(cs, batch)
         dyn = time.perf_counter() - t0
         _check_updated(cs.inst)
         t0 = time.perf_counter()
@@ -734,12 +733,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--queries", help="queries JSON file")
         p.add_argument("--out", help="output directory (default: cwd)")
         p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; chains are updated serially",
-        )
-        p.add_argument(
             "--length-override",
             type=int,
             help="pin the chain length (benchmark/testing knob)",
@@ -757,7 +750,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         queries=args.queries,
         out=args.out,
-        threads=args.threads,
         length_override=args.length_override,
     )
     try:

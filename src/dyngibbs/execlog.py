@@ -7,20 +7,21 @@ answers point-in-time queries:
   successor(t, v)  next rank > t whose transition touches v
   at(t)            the transition occupying rank t
 
+One representation backs it: two rank-ordered columns (vertex, spin) plus,
+per vertex, the ascending list of ranks whose transition touches it. With n
+vertices, T transitions and k ranks on the queried vertex:
 
+  at, change, length                O(1)
+  evaluate, successor               O(log k), one bisect
+  steps_of                          O(k)
+  insert at T + 1, remove at T      O(1)
+  insert / remove at an inner rank  O(n + T): the columns shift at C level,
+                                    and every vertex's later ranks move by one
 
-Two interchangeable representations back the same interface:
-
-* FLAT: rank-ordered arrays plus per-vertex ascending rank lists. Appends,
-  tail pops, and spin changes are O(1); evaluate/successor are a bisect.
-  Interior rank edits would shift every later rank, so the first such edit
-  upgrades the log to tree form.
-* TREE: one global order-statistic treap over ranks and one treap per vertex
-  whose in-order matches global rank order, linked through shared nodes.
-  Every operation is O(log^2 T) expected. compact() returns to flat form.
-
-Spin changes dominate the dynamic-update workload and never change ranks,
-which is what makes the flat fast path worth having.
+Spin changes dominate the dynamic updates and never move a rank. Inner rank
+edits come only from vertex additions and deletions, about T/n of them per
+chain per added or deleted vertex; at n = 2000, T = 2 * 10^4 each costs
+about a millisecond.
 
 A log also keeps the final configuration X_T as an explicit dict, updated
 incrementally by every mutation, so sample extraction is O(n) copying.
@@ -28,43 +29,17 @@ incrementally by every mutation, so sample extraction is O(n) copying.
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import RankOutOfRange, UnknownVertex, VertexHasTransitions
-
-_TREE_SEED = 0x1B572E5D
 
 
 @dataclass(frozen=True)
 class Transition:
     vertex: int
     spin: int
-
-
-class _Node:
-    """One transition, simultaneously a node of the global and vertex treaps."""
-
-    __slots__ = ("v", "c", "pr", "l", "r", "p", "sz", "vl", "vr", "vp", "vpr")
-
-    def __init__(self, v: int, c: int, pr: float, vpr: float):
-        self.v = v
-        self.c = c
-        self.pr = pr
-        self.l = None
-        self.r = None
-        self.p = None
-        self.sz = 1
-        self.vl = None
-        self.vr = None
-        self.vp = None
-        self.vpr = vpr
-
-
-def _sz(n) -> int:
-    return n.sz if n is not None else 0
 
 
 class ExecutionLog:
@@ -74,9 +49,6 @@ class ExecutionLog:
         self._verts: list[int] = []
         self._spins: list[int] = []
         self._ranks: dict[int, list[int]] = {v: [] for v in self._initial}
-        self._root: _Node | None = None
-        self._vroots: dict[int, _Node | None] = {}
-        self._rng = random.Random(_TREE_SEED)
         self._journal: dict[int, int | None] | None = None
 
     # Every write to the final-config cache funnels through these two, so an
@@ -110,7 +82,7 @@ class ExecutionLog:
     def from_run(
         cls, initial: Mapping[int, int], verts: list[int], spins: list[int]
     ) -> "ExecutionLog":
-        """Bulk constructor for a freshly generated chain (flat, no validation)."""
+        """Bulk constructor for a freshly generated chain (no validation)."""
         log = cls(initial)
         log._verts = list(verts)
         log._spins = list(spins)
@@ -136,8 +108,6 @@ class ExecutionLog:
         self._ranks = {v: [] for v in self._initial}
         for i, v in enumerate(self._verts):
             self._ranks[v].append(i + 1)
-        self._root = None
-        self._vroots = {}
         for v in old_vertices - set(self._initial):
             self._jdel(v)
         for v, c0 in self._initial.items():
@@ -148,14 +118,10 @@ class ExecutionLog:
 
     @property
     def length(self) -> int:
-        return self._root.sz if self._root is not None else len(self._verts)
+        return len(self._verts)
 
     def __len__(self) -> int:
         return self.length
-
-    @property
-    def is_flat(self) -> bool:
-        return self._root is None
 
     def vertex_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._initial))
@@ -171,45 +137,21 @@ class ExecutionLog:
         return dict(self._final)
 
     def transitions(self) -> Iterator[Transition]:
-        if self._root is None:
-            for v, c in zip(self._verts, self._spins):
-                yield Transition(v, c)
-        else:
-            stack, cur = [], self._root
-            while stack or cur is not None:
-                while cur is not None:
-                    stack.append(cur)
-                    cur = cur.l
-                cur = stack.pop()
-                yield Transition(cur.v, cur.c)
-                cur = cur.r
+        for v, c in zip(self._verts, self._spins):
+            yield Transition(v, c)
 
     def steps_of(self, v: int) -> tuple[int, ...]:
         """All ranks whose transition touches v, ascending."""
         if v not in self._initial:
             raise UnknownVertex(f"vertex {v}")
-        if self._root is None:
-            return tuple(self._ranks[v])
-        out: list[int] = []
-        stack, cur = [], self._vroots.get(v)
-        while stack or cur is not None:
-            while cur is not None:
-                stack.append(cur)
-                cur = cur.vl
-            cur = stack.pop()
-            out.append(self._rank(cur))
-            cur = cur.vr
-        return tuple(out)
+        return tuple(self._ranks[v])
 
     # -- queries ---------------------------------------------------------------
 
     def at(self, t: int) -> Transition:
         if not 1 <= t <= self.length:
             raise RankOutOfRange(f"rank {t} outside 1..{self.length}")
-        if self._root is None:
-            return Transition(self._verts[t - 1], self._spins[t - 1])
-        node = self._select(t)
-        return Transition(node.v, node.c)
+        return Transition(self._verts[t - 1], self._spins[t - 1])
 
     def evaluate(self, t: int, v: int) -> int:
         """Spin of v after the first t transitions; t past the end clamps."""
@@ -219,24 +161,9 @@ class ExecutionLog:
             raise RankOutOfRange(f"rank {t} is negative")
         if t >= self.length:
             return self._final[v]
-        return self._eval_slow(t, v)
-
-    def _eval_slow(self, t: int, v: int) -> int:
-        # Predecessor search; does not consult the final-config cache, so the
-        # cache maintenance in remove() may call it at t = length.
-        if self._root is None:
-            rs = self._ranks[v]
-            i = bisect_right(rs, t)
-            return self._initial[v] if i == 0 else self._spins[rs[i - 1] - 1]
-        best = None
-        cur = self._vroots.get(v)
-        while cur is not None:
-            if self._rank(cur) <= t:
-                best = cur
-                cur = cur.vr
-            else:
-                cur = cur.vl
-        return self._initial[v] if best is None else best.c
+        rs = self._ranks[v]
+        i = bisect_right(rs, t)
+        return self._initial[v] if i == 0 else self._spins[rs[i - 1] - 1]
 
     def successor(self, t: int, v: int):
         """Smallest rank > t whose transition touches v, or None."""
@@ -244,81 +171,65 @@ class ExecutionLog:
             raise UnknownVertex(f"vertex {v}")
         if t < 0:
             raise RankOutOfRange(f"rank {t} is negative")
-        if self._root is None:
-            rs = self._ranks[v]
-            i = bisect_right(rs, t)
-            return rs[i] if i < len(rs) else None
-        best = None
-        cur = self._vroots.get(v)
-        while cur is not None:
-            r = self._rank(cur)
-            if r > t:
-                best = r
-                cur = cur.vl
-            else:
-                cur = cur.vr
-        return best
+        rs = self._ranks[v]
+        i = bisect_right(rs, t)
+        return rs[i] if i < len(rs) else None
 
     # -- mutations ---------------------------------------------------------------
 
     def insert(self, t: int, v: int, c: int) -> None:
+        """Put <v, c> at rank t; the transitions from t on move up one rank."""
         n = self.length
         if not 1 <= t <= n + 1:
             raise RankOutOfRange(f"rank {t} outside 1..{n + 1}")
         if v not in self._initial:
             raise UnknownVertex(f"vertex {v}")
-        if self._root is None:
-            if t == n + 1:
-                self._verts.append(v)
-                self._spins.append(c)
-                self._ranks[v].append(t)
-                self._jset(v, c)
-                return
-            self._to_tree()
-        node = _Node(v, c, self._rng.random(), self._rng.random())
-        self._global_insert(t, node)
-        self._vertex_insert(node, t)
-        if self.successor(t, v) is None:
+        rs = self._ranks[v]
+        if t == n + 1:
+            i = len(rs)
+        else:
+            self._shift_ranks(t, 1)
+            i = bisect_left(rs, t)
+        self._verts.insert(t - 1, v)
+        self._spins.insert(t - 1, c)
+        rs.insert(i, t)
+        if i == len(rs) - 1:
             self._jset(v, c)
 
     def remove(self, t: int) -> None:
+        """Drop the transition at rank t; the later ones move down one rank."""
         n = self.length
         if not 1 <= t <= n:
             raise RankOutOfRange(f"rank {t} outside 1..{n}")
-        if self._root is None and t == n:
-            v = self._verts.pop()
-            self._spins.pop()
-            self._ranks[v].pop()
-            rs = self._ranks[v]
+        v = self._verts.pop(t - 1)
+        del self._spins[t - 1]
+        rs = self._ranks[v]
+        i = len(rs) - 1 if t == n else bisect_left(rs, t)
+        del rs[i]
+        if t < n:
+            self._shift_ranks(t + 1, -1)
+        if i == len(rs):
             self._jset(v, self._spins[rs[-1] - 1] if rs else self._initial[v])
-            return
-        if self._root is None:
-            self._to_tree()
-        node = self._select(t)
-        v = node.v
-        was_last = self.successor(t, v) is None
-        self._vertex_delete(node)
-        self._global_delete(node)
-        if self._root is None:
-            # The tree emptied out; restore a coherent flat representation.
-            self._ranks = {u: [] for u in self._initial}
-            self._vroots = {}
-        if was_last:
-            self._jset(v, self._eval_slow(self.length, v))
+
+    def _shift_ranks(self, t: int, d: int) -> None:
+        # Add d to every recorded rank >= t: one check per vertex, then a
+        # bisect and a slice assignment where the vertex has such ranks.
+        for rs in self._ranks.values():
+            if rs and rs[-1] >= t:
+                i = bisect_left(rs, t)
+                rs[i:] = [r + d for r in rs[i:]]
 
     def change(self, t: int, c: int) -> None:
         if not 1 <= t <= self.length:
             raise RankOutOfRange(f"rank {t} outside 1..{self.length}")
-        if self._root is None:
-            v = self._verts[t - 1]
-            self._spins[t - 1] = c
-            if self._ranks[v][-1] == t:
-                self._jset(v, c)
-            return
-        node = self._select(t)
-        node.c = c
-        if self.successor(t, node.v) is None:
-            self._jset(node.v, c)
+        v = self._verts[t - 1]
+        self._spins[t - 1] = c
+        if self._ranks[v][-1] == t:
+            self._jset(v, c)
+
+    def compact(self) -> None:
+        """No-op: the log has one representation, so there is nothing to
+        compact. Kept because the benchmark's tracer still wraps it."""
 
     # -- initial-state dictionary ---------------------------------------------
 
@@ -327,285 +238,13 @@ class ExecutionLog:
             raise ValueError(f"vertex {v} already present")
         self._initial[v] = c
         self._jset(v, c)
-        if self._root is None:
-            self._ranks[v] = []
+        self._ranks[v] = []
 
     def remove_vertex(self, v: int) -> None:
         if v not in self._initial:
             raise UnknownVertex(f"vertex {v}")
-        pending = (
-            bool(self._ranks.get(v)) if self._root is None else self._vroots.get(v)
-        )
-        if pending:
+        if self._ranks[v]:
             raise VertexHasTransitions(f"vertex {v} still has transitions")
         del self._initial[v]
         self._jdel(v)
-        self._ranks.pop(v, None)
-        self._vroots.pop(v, None)
-
-    def set_initial(self, v: int, c: int) -> None:
-        if v not in self._initial:
-            raise UnknownVertex(f"vertex {v}")
-        self._initial[v] = c
-        empty = not self._ranks.get(v) if self._root is None else not self._vroots.get(v)
-        if empty:
-            self._jset(v, c)
-
-    # -- representation switching ----------------------------------------------
-
-    def compact(self) -> None:
-        """Return to flat form; call after a burst of rank edits."""
-        if self._root is not None:
-            self._to_flat()
-
-    def _to_tree(self) -> None:
-        T = len(self._verts)
-        nodes = [
-            _Node(v, c, 0.0, 0.0) for v, c in zip(self._verts, self._spins)
-        ]
-        self._root = self._bulk_build_global(nodes)
-        self._vroots = {}
-        for v, rs in self._ranks.items():
-            if rs:
-                self._vroots[v] = self._bulk_build_vertex([nodes[r - 1] for r in rs])
-        self._verts = []
-        self._spins = []
-        self._ranks = {}
-        assert self._root is None or self._root.sz == T
-
-    def _bulk_build_global(self, nodes: list[_Node]):
-        if not nodes:
-            return None
-        root = self._shape(nodes, "l", "r", "p", sized=True)
-        self._assign_heap_priorities(root, "l", "r", "pr")
-        return root
-
-    def _bulk_build_vertex(self, nodes: list[_Node]):
-        root = self._shape(nodes, "vl", "vr", "vp", sized=False)
-        self._assign_heap_priorities(root, "vl", "vr", "vpr")
-        return root
-
-    @staticmethod
-    def _shape(nodes: list[_Node], la: str, ra: str, pa: str, sized: bool):
-        # Midpoint recursion over the rank-ordered node list gives a balanced
-        # shape; an explicit stack keeps it safe for long logs.
-        mid = len(nodes) // 2
-        root = nodes[mid]
-        setattr(root, pa, None)
-        stack = [(root, 0, mid, len(nodes))]  # node, lo, mid, hi
-        while stack:
-            node, lo, m, hi = stack.pop()
-            if sized:
-                node.sz = hi - lo
-            if lo < m:
-                lm = (lo + m) // 2
-                child = nodes[lm]
-                setattr(node, la, child)
-                setattr(child, pa, node)
-                stack.append((child, lo, lm, m))
-            else:
-                setattr(node, la, None)
-            if m + 1 < hi:
-                rm = (m + 1 + hi) // 2
-                child = nodes[rm]
-                setattr(node, ra, child)
-                setattr(child, pa, node)
-                stack.append((child, m + 1, rm, hi))
-            else:
-                setattr(node, ra, None)
-        return root
-
-    def _assign_heap_priorities(self, root: _Node, la: str, ra: str, attr: str):
-        # Descending-sorted random priorities handed out in BFS order satisfy
-        # the heap property on any shape while staying i.i.d. for later edits.
-        order = [root]
-        i = 0
-        while i < len(order):
-            node = order[i]
-            i += 1
-            lc, rc = getattr(node, la), getattr(node, ra)
-            if lc is not None:
-                order.append(lc)
-            if rc is not None:
-                order.append(rc)
-        prs = sorted((self._rng.random() for _ in order), reverse=True)
-        for node, pr in zip(order, prs):
-            setattr(node, attr, pr)
-
-    def _to_flat(self) -> None:
-        verts: list[int] = []
-        spins: list[int] = []
-        ranks: dict[int, list[int]] = {v: [] for v in self._initial}
-        stack, cur = [], self._root
-        while stack or cur is not None:
-            while cur is not None:
-                stack.append(cur)
-                cur = cur.l
-            cur = stack.pop()
-            verts.append(cur.v)
-            spins.append(cur.c)
-            ranks[cur.v].append(len(verts))
-            cur = cur.r
-        self._verts = verts
-        self._spins = spins
-        self._ranks = ranks
-        self._root = None
-        self._vroots = {}
-
-    # -- global treap ------------------------------------------------------------
-
-    def _select(self, t: int) -> _Node:
-        cur = self._root
-        while True:
-            s = _sz(cur.l)
-            if t == s + 1:
-                return cur
-            if t <= s:
-                cur = cur.l
-            else:
-                t -= s + 1
-                cur = cur.r
-
-    @staticmethod
-    def _rank(node: _Node) -> int:
-        r = _sz(node.l) + 1
-        cur = node
-        while cur.p is not None:
-            if cur is cur.p.r:
-                r += _sz(cur.p.l) + 1
-            cur = cur.p
-        return r
-
-    def _rotate_up(self, x: _Node) -> None:
-        # One rotation lifting x above its parent in the global tree.
-        p = x.p
-        g = p.p
-        if p.l is x:
-            p.l = x.r
-            if x.r is not None:
-                x.r.p = p
-            x.r = p
-        else:
-            p.r = x.l
-            if x.l is not None:
-                x.l.p = p
-            x.l = p
-        p.p = x
-        x.p = g
-        if g is not None:
-            if g.l is p:
-                g.l = x
-            else:
-                g.r = x
-        else:
-            self._root = x
-        p.sz = _sz(p.l) + _sz(p.r) + 1
-        x.sz = _sz(x.l) + _sz(x.r) + 1
-
-    def _global_insert(self, t: int, node: _Node) -> None:
-        if self._root is None:
-            self._root = node
-            return
-        cur = self._root
-        while True:
-            cur.sz += 1
-            s = _sz(cur.l)
-            if t <= s + 1:
-                if cur.l is None:
-                    cur.l = node
-                    node.p = cur
-                    break
-                cur = cur.l
-            else:
-                t -= s + 1
-                if cur.r is None:
-                    cur.r = node
-                    node.p = cur
-                    break
-                cur = cur.r
-        while node.p is not None and node.pr > node.p.pr:
-            self._rotate_up(node)
-
-    def _global_delete(self, node: _Node) -> None:
-        while node.l is not None or node.r is not None:
-            if node.l is None or (node.r is not None and node.r.pr > node.l.pr):
-                self._rotate_up(node.r)
-            else:
-                self._rotate_up(node.l)
-        p = node.p
-        if p is None:
-            self._root = None
-        else:
-            if p.l is node:
-                p.l = None
-            else:
-                p.r = None
-            node.p = None
-            while p is not None:
-                p.sz -= 1
-                p = p.p
-
-    # -- per-vertex treaps ---------------------------------------------------------
-
-    def _vertex_insert(self, node: _Node, t: int) -> None:
-        # t is node's global rank right now; relative order of existing nodes
-        # is unchanged by the preceding global insert.
-        root = self._vroots.get(node.v)
-        if root is None:
-            self._vroots[node.v] = node
-            return
-        cur = root
-        while True:
-            if t < self._rank(cur):
-                if cur.vl is None:
-                    cur.vl = node
-                    node.vp = cur
-                    break
-                cur = cur.vl
-            else:
-                if cur.vr is None:
-                    cur.vr = node
-                    node.vp = cur
-                    break
-                cur = cur.vr
-        while node.vp is not None and node.vpr > node.vp.vpr:
-            self._vertex_rotate_up(node)
-
-    def _vertex_rotate_up(self, x: _Node) -> None:
-        p = x.vp
-        g = p.vp
-        if p.vl is x:
-            p.vl = x.vr
-            if x.vr is not None:
-                x.vr.vp = p
-            x.vr = p
-        else:
-            p.vr = x.vl
-            if x.vl is not None:
-                x.vl.vp = p
-            x.vl = p
-        p.vp = x
-        x.vp = g
-        if g is not None:
-            if g.vl is p:
-                g.vl = x
-            else:
-                g.vr = x
-        else:
-            self._vroots[x.v] = x
-
-    def _vertex_delete(self, node: _Node) -> None:
-        while node.vl is not None or node.vr is not None:
-            if node.vl is None or (node.vr is not None and node.vr.vpr > node.vl.vpr):
-                self._vertex_rotate_up(node.vr)
-            else:
-                self._vertex_rotate_up(node.vl)
-        p = node.vp
-        if p is None:
-            del self._vroots[node.v]
-        else:
-            if p.vl is node:
-                p.vl = None
-            else:
-                p.vr = None
-            node.vp = None
+        del self._ranks[v]

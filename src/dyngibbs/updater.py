@@ -21,7 +21,9 @@ C-level copies of the instance maps a phase changes; every intermediate
 instance is derived from the one before it, so each phase's precondition
 check compares only the items the batch named. Each chain then costs
 O(visits): the replays take the instance's adjacency mapping by reference
-and do no work proportional to n or m. The feasibility of the planned
+and do no work proportional to n or m. The vertex phases add O(n + T) per
+rank they insert or remove inside the log, about T/n such edits per added
+or deleted vertex (see execlog). The feasibility of the planned
 instance is decided before any chain is touched, from the answer carried
 forward from the current instance, in O(|touched|).
 """
@@ -101,7 +103,6 @@ def build_filter(
     """Mark each transition of vertex v independently with probability
     pbar[v], by skip-sampling over its rank list. Vertices ascending, so the
     draw order is reproducible."""
-    log.compact()
     steps: list[int] = []
     for v in sorted(pbar):
         p = pbar[v]
@@ -594,16 +595,13 @@ def execute_update(plan: _UpdatePlan, log: ExecutionLog, rng) -> UpdateMetrics:
             m.r_ham = update_hamiltonian(before, after, log, filt, rng)
         elif name == "add_vertices":
             add_vertices(before, after, log, rng)
-            log.compact()
         elif name in ("delete_edges", "add_edges"):
             m.r_graph += update_edge(before, after, log, rng)
         else:
             delete_vertices(before, after, log, rng)
-            log.compact()
         m.phase_wall[name] = time.perf_counter() - p0
     if log.length != plan.target:
         length_fix(plan.final, log, plan.target, rng)
-    log.compact()
     m.wall_time = time.perf_counter() - t0
     return m
 
@@ -677,7 +675,7 @@ def _update_one_chain(plan, log, seed, epoch, i):
 
 
 def apply_update_multi(
-    cs: ChainSet, batch: UpdateBatch, threads: int = 1
+    cs: ChainSet, batch: UpdateBatch
 ) -> tuple[SampleDiff, list[UpdateMetrics]]:
     """Update every chain in the pool and resize it to the new sample count.
 
@@ -687,11 +685,11 @@ def apply_update_multi(
     instance, epoch and stream counter as they were. A touched vertex over
     the enumeration cap is not decided here; callers' own checks see it.
 
-    Costs O(|batch| * Δ) for the plan plus O(visits) per chain. Returns the
-    exact diff of the pool's sample set, assembled from each log's
-    final-config journal, so downstream estimators never rescan whole
-    configurations. Chains are updated one after another in chain order;
-    ``threads`` is accepted for compatibility and has no effect.
+    Costs O(|batch| * Δ) for the plan plus, per chain, O(visits) and
+    O(n + T) for each inner rank edit of a vertex phase. Returns the exact
+    diff of the pool's sample set, assembled from each log's final-config
+    journal, so downstream estimators never rescan whole configurations.
+    Chains are updated one after another in chain order.
     """
     plan = plan_update(cs.inst, batch, cs.params)
     try:

@@ -1,5 +1,5 @@
-"""Execution log: rank edits, point queries, journals, and the flat/tree
-switch, checked against the structure-free linear twin."""
+"""Execution log: rank edits, point queries and journals, checked against
+the structure-free linear twin."""
 
 import random
 
@@ -126,30 +126,91 @@ class TestJournal:
         log.remove_vertex(7)
         assert log.take_final_journal() == {7: 1}
 
+    # Final spins: 0 -> 2 (rank 5), 1 -> 0 (rank 8), 2 -> 1 (rank 9), 3 -> 0
+    # (rank 3, its only transition; initial 2).
+    INITIAL = {0: 0, 1: 0, 2: 0, 3: 2}
+    VERTS = [0, 1, 3, 2, 0, 1, 2, 1, 2]
+    SPINS = [1, 2, 0, 1, 2, 1, 2, 0, 1]
 
-class TestModeSwitch:
-    def test_flat_until_first_rank_edit_burst(self):
-        log = ExecutionLog.from_run({0: 0, 1: 0}, [0, 1] * 50, [1, 1] * 50)
-        assert log.is_flat
-        log.insert(3, 0, 0)
-        log.remove(3)
-        log.compact()
-        assert log.is_flat
-        assert log.final_config() == {0: 1, 1: 1}
+    @pytest.mark.parametrize("edits, changed", [
+        # inner insert that becomes vertex 0's last transition
+        ([("insert", 6, 0, 1)], {0}),
+        # removing vertex 1's last transition falls back to an earlier spin
+        ([("remove", 8)], {1}),
+        # removing vertex 3's only transition falls back to its initial spin
+        ([("remove", 3)], {3}),
+        # removing an earlier transition leaves the final spin alone
+        ([("remove", 4)], set()),
+        # all of them under one journal, each rank as the log then stands
+        ([("insert", 6, 0, 1), ("remove", 9), ("remove", 3), ("remove", 3)],
+         {0, 1, 3}),
+    ])
+    def test_inner_rank_edits(self, edits, changed):
+        log = ExecutionLog.from_run(self.INITIAL, self.VERTS, self.SPINS)
+        twin = LinearLog(self.INITIAL)
+        twin.verts, twin.spins = list(self.VERTS), list(self.SPINS)
+        before = twin.final_config()
+        log.begin_final_journal()
+        for op, *args in edits:
+            assert args[0] < twin.length, "inner ranks only"
+            getattr(log, op)(*args)
+            getattr(twin, op)(*args)
+        journal = log.take_final_journal()
+        after = twin.final_config()
+        assert log.final_config() == after
+        assert {v for v in before if before[v] != after[v]} == changed
+        assert changed <= set(journal)
+        assert all(journal[v] == before[v] for v in journal)
 
-    def test_queries_agree_across_modes(self):
+
+def assert_agrees(log, twin):
+    """log and twin agree on every query at every rank."""
+    L = twin.length
+    assert log.length == L
+    for t in range(1, L + 1):
+        tr = log.at(t)
+        assert (tr.vertex, tr.spin) == twin.at(t), f"at({t})"
+    for v in twin.initial:
+        assert log.steps_of(v) == twin.steps_of(v), f"steps_of({v})"
+        for t in range(L + 1):
+            assert log.evaluate(t, v) == twin.evaluate(t, v), f"evaluate({t}, {v})"
+            assert log.successor(t, v) == twin.successor(t, v), f"successor({t}, {v})"
+    assert log.final_config() == twin.final_config()
+
+
+class TestInnerRankEdits:
+    def test_vertex_phase_burst_agrees_with_linear(self):
+        # As add_vertices does it: new vertices, then inserts at ascending
+        # inner ranks; as delete_vertices does it: every rank of the doomed
+        # vertices removed from the back, then the vertices themselves.
         rng = random.Random(11)
         verts = [rng.randrange(4) for _ in range(200)]
         spins = [rng.randrange(3) for _ in range(200)]
-        initial = {v: 0 for v in range(4)}
+        initial = {v: rng.randrange(3) for v in range(4)}
         log = ExecutionLog.from_run(initial, verts, spins)
-        flat_answers = [(log.evaluate(t, v), log.successor(t, v))
-                        for t in range(0, 201, 7) for v in range(4)]
-        log.insert(1, 0, 2)    # force tree mode
-        log.remove(1)
-        tree_answers = [(log.evaluate(t, v), log.successor(t, v))
-                        for t in range(0, 201, 7) for v in range(4)]
-        assert flat_answers == tree_answers
+        twin = LinearLog(initial)
+        twin.verts, twin.spins = list(verts), list(spins)
+        assert_agrees(log, twin)
+
+        for a in (4, 5):
+            log.add_vertex_initial(a, 1)
+            twin.initial[a] = 1
+        marks = sorted(rng.sample(range(1, 200), 30))
+        for r in marks:
+            v, c = rng.choice((4, 5)), rng.randrange(3)
+            log.insert(r, v, c)
+            twin.insert(r, v, c)
+        assert_agrees(log, twin)
+
+        doomed = (1, 4)
+        ranks = sorted((r for v in doomed for r in log.steps_of(v)), reverse=True)
+        for r in ranks:
+            log.remove(r)
+            twin.remove(r)
+        for v in doomed:
+            log.remove_vertex(v)
+            del twin.initial[v]
+        assert_agrees(log, twin)
 
 
 class TestFuzzAgainstLinear:
@@ -204,7 +265,6 @@ class TestFuzzAgainstLinear:
                 twin.remove(t)
             if step % 400 == 399:
                 log.compact()
-                assert log.is_flat
         assert log.final_config() == twin.final_config()
 
 

@@ -257,16 +257,6 @@ class TestChainPool:
         assert len(cs.logs) == 4
         assert diff.removed_chains == (4, 5)
 
-    def test_threads_do_not_change_output(self):
-        inst = ising_instance(6, [(i, i + 1) for i in range(5)], 0.2)
-        batch = UpdateBatch([SetEdgePotential(2, 3, EdgePotential(((0.5, -0.5), (-0.5, 0.5))))])
-        results = []
-        for threads in (1, 3):
-            cs = new_chain_set(inst, params(250, seed=13), self.schedule(5))
-            diff, _ = apply_update_multi(cs, batch, threads=threads)
-            results.append((cs.samples(), tuple(diff.entries)))
-        assert results[0] == results[1]
-
     def test_infeasible_batch_leaves_pool_untouched(self):
         # A 3-colouring star whose centre gets a third neighbour: some
         # boundary then excludes every colour at the centre. The batch used to
