@@ -12,7 +12,7 @@ from .coupling import (
     maximal_couple_conditional,
     p_up,
 )
-from .engine import ChainParams, extract_sample, length_fix, mixing_length, run_chain
+from .engine import ChainParams, length_fix, mixing_length, run_chain
 from .execlog import ExecutionLog, Transition
 from .inference import (
     DiffEntry,
@@ -57,7 +57,6 @@ from .mrf import (
     SpinDomain,
     UpdateBatch,
     VertexPotential,
-    conditional_marginal,
     dobrushin_check,
     instance_diff,
     local_restriction,

@@ -338,12 +338,30 @@ def _load_feasible_instance(cfg: RunConfig) -> MrfInstance:
     return inst
 
 
-def _check_updated(inst: MrfInstance) -> None:
-    rep = validate_feasibility(inst)
-    if not rep.ok:
-        raise InfeasibleInstance(
-            f"update made vertex {rep.vertex} infeasible under some boundary"
-        )
+def _prepare(cfg: RunConfig):
+    """Set-up shared by run and bench: the checked instance, its schedule,
+    the chain parameters with delta resolved, the batches and the output
+    directory."""
+    inst = _load_feasible_instance(cfg)
+    delta = resolve_delta(inst, cfg.delta)
+    sched = parse_schedule(cfg.schedule)
+    params = ChainParams(
+        delta=delta,
+        eps_fn=sched.eps_value,
+        seed=cfg.seed,
+        length_override=cfg.length_override,
+    )
+    batches = parse_update_stream(cfg.updates) if cfg.updates else []
+    out = Path(cfg.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return inst, sched, params, batches, out
+
+
+def _refresh_delta(cs, source: str) -> None:
+    """Re-resolve delta on the pool's updated instance; raises
+    RegimeViolation once an update leaves the regime."""
+    if not source.startswith("given:"):
+        cs.params = replace(cs.params, delta=resolve_delta(cs.inst, source))
 
 
 # ---------------------------------------------------------------------------
@@ -368,29 +386,15 @@ def _emit_estimates(fh, step: int, states: dict) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    inst = _load_feasible_instance(cfg)
-    delta = resolve_delta(inst, cfg.delta)
-    sched = parse_schedule(cfg.schedule)
-    params = ChainParams(
-        delta=delta,
-        eps_fn=sched.eps_value,
-        seed=cfg.seed,
-        length_override=cfg.length_override,
-    )
-    batches = parse_update_stream(cfg.updates) if cfg.updates else []
+    inst, sched, params, batches, out = _prepare(cfg)
     queries = parse_queries(cfg.queries) if cfg.queries else []
-    out = Path(cfg.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-
     cs = new_chain_set(inst, params, sched)
     states = {qid: rebuild(cs.samples(), query, inst.q) for qid, query in queries}
     with (out / "estimates.jsonl").open("w") as fh:
         _emit_estimates(fh, 0, states)
         for step, batch in enumerate(batches, 1):
             diff, _metrics = apply_update_multi(cs, batch)
-            _check_updated(cs.inst)
-            if not cfg.delta.startswith("given:"):
-                cs.params = replace(cs.params, delta=resolve_delta(cs.inst, cfg.delta))
+            _refresh_delta(cs, cfg.delta)
             for state in states.values():
                 incremental_apply(state, diff)
             _emit_estimates(fh, step, states)
@@ -410,19 +414,7 @@ def cmd_run(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(cfg: RunConfig) -> int:
-    inst = _load_feasible_instance(cfg)
-    delta = resolve_delta(inst, cfg.delta)
-    sched = parse_schedule(cfg.schedule)
-    params = ChainParams(
-        delta=delta,
-        eps_fn=sched.eps_value,
-        seed=cfg.seed,
-        length_override=cfg.length_override,
-    )
-    batches = parse_update_stream(cfg.updates) if cfg.updates else []
-    out = Path(cfg.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-
+    inst, sched, params, batches, out = _prepare(cfg)
     t0 = time.perf_counter()
     cs = new_chain_set(inst, params, sched)
     setup_s = time.perf_counter() - t0
@@ -433,7 +425,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         diff, metrics = apply_update_multi(cs, batch)
         dyn = time.perf_counter() - t0
-        _check_updated(cs.inst)
+        _refresh_delta(cs, cfg.delta)
         t0 = time.perf_counter()
         for _ in range(len(cs.logs)):
             run_chain(cs.inst, cs.params, stream=bench_stream)

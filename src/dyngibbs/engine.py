@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GraphMismatch, InfeasibleInstance, InfeasibleNeighborhood
+from .errors import GraphMismatch, InfeasibleInstance
 from .execlog import ExecutionLog
 from .mrf import NEG_INF, MrfInstance, _CompiledInstance
 from .rng import categorical, make_stream, uniform_index
@@ -106,21 +106,28 @@ def _advance(
         spins.append(c)
 
 
-def run_chain(inst: MrfInstance, params: ChainParams, stream: int = 0) -> ExecutionLog:
-    """Generate a fresh T-step chain for the instance.
+def fresh_run(
+    inst: MrfInstance, T: int, rng: np.random.Generator
+) -> tuple[dict[int, int], list[int], list[int]]:
+    """A fresh T-step chain for the instance: its initial configuration and
+    its vertex and spin columns.
 
     X0 is the greedy feasible assignment (all-unoccupied for the occupancy
     model, since the empty spin is always compatible).
     """
-    T = mixing_length(inst.n, params)
-    rng = make_stream(params.seed, stream)
     comp = inst.compiled()
     cfg = _greedy_initial_dense(comp)
     initial = dict(zip(comp.ids, cfg))
     verts: list[int] = []
     spins: list[int] = []
     _advance(comp, cfg, T, rng, verts, spins)
-    return ExecutionLog.from_run(initial, verts, spins)
+    return initial, verts, spins
+
+
+def run_chain(inst: MrfInstance, params: ChainParams, stream: int = 0) -> ExecutionLog:
+    """Generate a fresh chain of the mixing length on the stream's draws."""
+    T = mixing_length(inst.n, params)
+    return ExecutionLog.from_run(*fresh_run(inst, T, make_stream(params.seed, stream)))
 
 
 def length_fix(
@@ -147,15 +154,6 @@ def length_fix(
     cfg = [final[v] for v in comp.ids]
     verts: list[int] = []
     spins: list[int] = []
-    try:
-        _advance(comp, cfg, new_T - cur, rng, verts, spins)
-    except InfeasibleNeighborhood as exc:
-        raise InfeasibleInstance(str(exc)) from exc
+    _advance(comp, cfg, new_T - cur, rng, verts, spins)
     for v, c in zip(verts, spins):
         log.insert(log.length + 1, v, c)
-
-
-def extract_sample(log: ExecutionLog) -> dict[int, int]:
-    """The configuration after the whole log; an O(n) copy of the
-    incrementally maintained final state."""
-    return log.final_config()

@@ -83,14 +83,8 @@ class ExecutionLog:
         cls, initial: Mapping[int, int], verts: list[int], spins: list[int]
     ) -> "ExecutionLog":
         """Bulk constructor for a freshly generated chain (no validation)."""
-        log = cls(initial)
-        log._verts = list(verts)
-        log._spins = list(spins)
-        for i, v in enumerate(log._verts):
-            log._ranks[v].append(i + 1)
-        for v, rs in log._ranks.items():
-            if rs:
-                log._final[v] = log._spins[rs[-1] - 1]
+        log = cls({})  # load_run builds every field once
+        log.load_run(initial, verts, spins)
         return log
 
     def load_run(

@@ -491,19 +491,6 @@ class _CompiledInstance:
                 [[list(row) for row in inst.edge_potential(u, v).weights] for u in nbrs]
             )
 
-    def weights_at(self, j: int, cfg: Sequence[int]) -> list[float]:
-        """Unnormalized exp-weights of vertex j given dense config cfg."""
-        scores = list(self.phis[j])
-        q = self.q
-        for u_pos, mat in zip(self.nbr_idx[j], self.mats[j]):
-            row = mat[cfg[u_pos]]
-            for c in range(q):
-                scores[c] += row[c]
-        m = max(scores)
-        if m == NEG_INF:
-            raise InfeasibleNeighborhood(f"vertex {self.ids[j]}: all spins excluded")
-        return [math.exp(s - m) for s in scores]
-
 
 # ---------------------------------------------------------------------------
 # Local views and conditional marginals
@@ -555,18 +542,6 @@ def local_restriction(inst: MrfInstance, v: int) -> LocalView:
         neighbors=nbrs,
         edge_phi={u: inst.edge_potential(u, v).weights for u in nbrs},
     )
-
-
-def conditional_marginal(
-    inst: MrfInstance, v: int, boundary: Mapping[int, int]
-) -> list[float]:
-    """Probability of each spin at v given an assignment of all its neighbors.
-
-    The boundary mapping may assign more vertices than Gamma(v); extras are
-    ignored. Each entry is proportional to
-    exp(phi_v(c) + sum_u phi_uv(boundary[u], c)).
-    """
-    return local_restriction(inst, v).conditional(boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ chain law from one instance to the next:
     potentials -> added vertices -> deleted edges -> added edges
                -> deleted vertices -> length correction
 
-The potential and edge phases are coupled replays: the recorded chain (X) and
-the target chain (Y) are advanced through a maximal coupling, and only ranks
-where they can disagree are visited. Disagreements are tracked in a set D;
-a rank needs a visit iff it is a pre-sampled correction step, its vertex's
-boundary intersects D, or its vertex itself sits in D. Everything else is
-provably identical on both chains and is skipped.
+The potential phase and both edge phases run one coupled replay: the
+recorded chain (X) is advanced alongside the target chain (Y), and only the
+ranks where the two can disagree are visited. Disagreements are tracked in a
+set D. A rank needs a visit iff its vertex was touched (an endpoint of a
+changed edge, redrawn fresh from the new law), it is a pre-sampled
+correction rank of the potential phase, its vertex's boundary intersects D,
+or its vertex itself sits in D. At an untouched vertex the recorded draw is
+coupled maximally with a draw under Y's boundary, then corrected at a filter
+rank. Everything else is provably identical on both chains and is skipped.
 
 Cost model. An edit costs its footprint, not the size of the model. The plan
 is built once per batch from the batch's own records: O(|batch| * Δ) plus
@@ -37,16 +40,8 @@ from heapq import heappop, heappush
 from typing import Mapping, Optional
 
 from .coupling import correction_kernel, maximal_couple_conditional, p_up
-from .engine import (
-    ChainParams,
-    _advance,
-    _greedy_initial_dense,
-    length_fix,
-    mixing_length,
-    run_chain,
-)
+from .engine import ChainParams, fresh_run, length_fix, mixing_length, run_chain
 from .errors import (
-    DegreeTooLarge,
     GraphMismatch,
     InfeasibleInstance,
     NotIsolated,
@@ -203,6 +198,91 @@ class _Replay:
             self.d_y.pop(v, None)
 
 
+def _view(cache: dict, inst: MrfInstance, v: int) -> LocalView:
+    view = cache.get(v)
+    if view is None:
+        view = cache[v] = local_restriction(inst, v)
+    return view
+
+
+def _replay(
+    old: MrfInstance,
+    new: MrfInstance,
+    log: ExecutionLog,
+    rng,
+    touched=frozenset(),
+    filt: Optional[FilterSet] = None,
+) -> int:
+    """Replay the log from old's law to new's, in place; returns the number
+    of ranks visited.
+
+    A touched vertex is redrawn fresh from the new conditional under the Y
+    boundary at each of its transitions (always one uniform: the product
+    coupling). Any other vertex couples the recorded draw maximally with a
+    draw from the old law under the Y boundary when the two boundaries
+    differ, and at a filter rank then draws a correction coin (always one
+    uniform) that decides whether Y is redrawn from the kernel mapping the
+    old conditional onto the new one.
+    """
+    adj = old.adjacency()
+    rp = _Replay(log, adj, extra=touched)
+    touched = rp.extra
+    d_x = rp.d_x
+    fsteps = filt.steps if filt is not None else ()
+    pbar = filt.pbar if filt is not None else {}
+    nf = len(fsteps)
+    fi = 0
+    old_views: dict[int, LocalView] = {}
+    new_views: dict[int, LocalView] = {}
+    visits = 0
+    rand = rng.random
+    while True:
+        while fi < nf and fsteps[fi] <= rp.frontier:
+            fi += 1
+        fe = fsteps[fi] if fi < nf else None
+        t = rp.next_event()
+        if t is None or (fe is not None and fe < t):
+            t = fe
+        if t is None:
+            break
+        tr = log.at(t)
+        v = tr.vertex
+        x_new = tr.spin
+        tp = t - 1
+        if v in touched:
+            view_n = _view(new_views, new, v)
+            tau = {u: rp.yval(tp, u) for u in view_n.neighbors}
+            y = categorical(view_n.conditional(tau), rand())
+        else:
+            nbrs = adj[v]
+            tau = None
+            if any(u in d_x for u in nbrs):
+                view_o = _view(old_views, old, v)
+                sigma = {u: rp.xval(tp, u) for u in nbrs}
+                tau = {u: rp.yval(tp, u) for u in nbrs}
+                y = maximal_couple_conditional(
+                    view_o.conditional(sigma), view_o.conditional(tau), x_new, rng
+                )
+            else:
+                # Boundaries agree, so the maximal coupling is the identity.
+                y = x_new
+            if t == fe:
+                if tau is None:
+                    tau = {u: rp.yval(tp, u) for u in nbrs}
+                kern = correction_kernel(
+                    _view(old_views, old, v), _view(new_views, new, v), tau
+                )
+                coin = rand()
+                if kern.nu is not None and coin * pbar[v] < kern.p[y]:
+                    y = categorical(kern.nu, rand())
+        rp.frontier = t
+        rp.record(v, x_new, y)
+        if y != x_new:
+            log.change(t, y)
+        visits += 1
+    return visits
+
+
 def update_hamiltonian(
     old_inst: MrfInstance,
     new_inst: MrfInstance,
@@ -221,67 +301,7 @@ def update_hamiltonian(
     dv, de = instance_delta(old_inst, new_inst)
     if _presence_changes(old_inst, new_inst, dv, de):
         raise GraphMismatch("potential phase requires identical graphs")
-    adj = old_inst.adjacency()
-    rp = _Replay(log, adj)
-    fsteps = filt.steps
-    nf = len(fsteps)
-    fi = 0
-    pbar = filt.pbar
-    old_views: dict[int, LocalView] = {}
-    new_views: dict[int, LocalView] = {}
-    visits = 0
-    rand = rng.random
-    while True:
-        while fi < nf and fsteps[fi] <= rp.frontier:
-            fi += 1
-        fe = fsteps[fi] if fi < nf else None
-        he = rp.next_event()
-        if fe is None:
-            t = he
-        elif he is None or fe < he:
-            t = fe
-        else:
-            t = he
-        if t is None:
-            break
-        tr = log.at(t)
-        v = tr.vertex
-        x_new = tr.spin
-        nbrs = adj[v]
-        view_o = old_views.get(v)
-        if view_o is None:
-            view_o = local_restriction(old_inst, v)
-            old_views[v] = view_o
-        tau = None
-        d_x = rp.d_x
-        if any(u in d_x for u in nbrs):
-            tp = t - 1
-            sigma = {u: rp.xval(tp, u) for u in nbrs}
-            tau = {u: rp.yval(tp, u) for u in nbrs}
-            mu_x = view_o.conditional(sigma)
-            mu_y = view_o.conditional(tau)
-            y = maximal_couple_conditional(mu_x, mu_y, x_new, rng)
-        else:
-            # Boundaries agree, so the maximal coupling is the identity.
-            y = x_new
-        if fe == t:
-            if tau is None:
-                tp = t - 1
-                tau = {u: rp.yval(tp, u) for u in nbrs}
-            view_n = new_views.get(v)
-            if view_n is None:
-                view_n = local_restriction(new_inst, v)
-                new_views[v] = view_n
-            kern = correction_kernel(view_o, view_n, tau)
-            coin = rand()
-            if kern.nu is not None and coin * pbar[v] < kern.p[y]:
-                y = categorical(kern.nu, rand())
-        rp.frontier = t
-        rp.record(v, x_new, y)
-        if y != x_new:
-            log.change(t, y)
-        visits += 1
-    return visits
+    return _replay(old_inst, new_inst, log, rng, filt=filt)
 
 
 def update_edge(
@@ -304,54 +324,9 @@ def update_edge(
         raise VertexSetMismatch("edge phase cannot change the vertex set")
     _check_shared_potentials(old_inst, new_inst, dv, de)
     touched = set()
-    for u, w in _presence_changes(old_inst, new_inst, (), de):
-        touched.add(u)
-        touched.add(w)
-    if not touched:
-        return 0
-    adj = old_inst.adjacency()
-    rp = _Replay(log, adj, extra=touched)
-    old_views: dict[int, LocalView] = {}
-    new_views: dict[int, LocalView] = {}
-    visits = 0
-    rand = rng.random
-    while True:
-        t = rp.next_event()
-        if t is None:
-            break
-        tr = log.at(t)
-        v = tr.vertex
-        x_new = tr.spin
-        if v in touched:
-            view_n = new_views.get(v)
-            if view_n is None:
-                view_n = local_restriction(new_inst, v)
-                new_views[v] = view_n
-            tp = t - 1
-            tau = {u: rp.yval(tp, u) for u in view_n.neighbors}
-            y = categorical(view_n.conditional(tau), rand())
-        else:
-            nbrs = adj[v]
-            d_x = rp.d_x
-            if any(u in d_x for u in nbrs):
-                view_o = old_views.get(v)
-                if view_o is None:
-                    view_o = local_restriction(old_inst, v)
-                    old_views[v] = view_o
-                tp = t - 1
-                sigma = {u: rp.xval(tp, u) for u in nbrs}
-                tau = {u: rp.yval(tp, u) for u in nbrs}
-                y = maximal_couple_conditional(
-                    view_o.conditional(sigma), view_o.conditional(tau), x_new, rng
-                )
-            else:
-                y = x_new
-        rp.frontier = t
-        rp.record(v, x_new, y)
-        if y != x_new:
-            log.change(t, y)
-        visits += 1
-    return visits
+    for e in _presence_changes(old_inst, new_inst, (), de):
+        touched.update(e)
+    return _replay(old_inst, new_inst, log, rng, touched=touched)
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +543,12 @@ def plan_update(
     return _UpdatePlan(cur if phases else final, target, False, pbar, tuple(phases))
 
 
-def _regenerate(final: MrfInstance, target: int, log: ExecutionLog, rng) -> None:
-    comp = final.compiled()
-    cfg = _greedy_initial_dense(comp)
-    initial = dict(zip(comp.ids, cfg))
-    verts: list[int] = []
-    spins: list[int] = []
-    _advance(comp, cfg, target, rng, verts, spins)
-    log.load_run(initial, verts, spins)
-
-
 def execute_update(plan: _UpdatePlan, log: ExecutionLog, rng) -> UpdateMetrics:
     """Run the planned phases against one chain's log, in place."""
     t0 = time.perf_counter()
     m = UpdateMetrics()
     if plan.regenerate:
-        _regenerate(plan.final, plan.target, log, rng)
+        log.load_run(*fresh_run(plan.final, plan.target, rng))
         m.regenerated = True
         m.wall_time = time.perf_counter() - t0
         return m
@@ -682,8 +647,8 @@ def apply_update_multi(
     All or nothing on infeasible batches: the planned instance's feasibility
     is checked, in O(|touched|) with the answer carried forward from cs.inst,
     before any chain is touched, and InfeasibleInstance leaves the pool, its
-    instance, epoch and stream counter as they were. A touched vertex over
-    the enumeration cap is not decided here; callers' own checks see it.
+    instance, epoch and stream counter as they were. So does DegreeTooLarge,
+    raised when a vertex the check must enumerate is over the cap.
 
     Costs O(|batch| * Δ) for the plan plus, per chain, O(visits) and
     O(n + T) for each inner rank edit of a vertex phase. Returns the exact
@@ -692,11 +657,8 @@ def apply_update_multi(
     Chains are updated one after another in chain order.
     """
     plan = plan_update(cs.inst, batch, cs.params)
-    try:
-        rep = validate_feasibility(plan.final)
-    except DegreeTooLarge:
-        rep = None
-    if rep is not None and not rep.ok:
+    rep = validate_feasibility(plan.final)
+    if not rep.ok:
         raise InfeasibleInstance(
             f"updated instance is infeasible at vertex {rep.vertex} under "
             f"boundary {dict(rep.boundary)}"

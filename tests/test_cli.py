@@ -171,6 +171,17 @@ class TestExitCodes:
         assert cli.main(run_args(workdir, **{"--delta": "check"})) == 3
         assert cli.main(run_args(workdir, **{"--delta": "model:ising"})) == 3
 
+    def test_batch_out_of_regime(self, workdir):
+        # Two strong couplings at vertex 2 push its influence row sum past 1
+        # after the first batch; run and bench must both refuse it.
+        hot = [[2.0, -2.0], [-2.0, 2.0]]
+        (workdir / "updates.jsonl").write_text(json.dumps({"ops": [
+            {"op": "set_edge_phi", "u": 1, "v": 2, "phi": hot},
+            {"op": "set_edge_phi", "u": 2, "v": 3, "phi": hot}]}) + "\n")
+        args = run_args(workdir, **{"--delta": "check"})
+        assert cli.main(args) == 3
+        assert cli.main(["bench"] + args[1:]) == 3
+
 
 class TestDeltaSources:
     def test_given(self, workdir):

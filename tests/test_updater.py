@@ -1,7 +1,9 @@
 """Reconciliation pipeline: law preservation against exact step laws,
 work accounting, validation, and the chain pool."""
 
+import hashlib
 import math
+import random
 import sys
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from dyngibbs.engine import ChainParams, run_chain
 from dyngibbs.errors import (
+    DegreeTooLarge,
     GraphMismatch,
     InfeasibleInstance,
     NotIsolated,
@@ -26,13 +29,16 @@ from dyngibbs.models import (
     ising_vertex,
 )
 from dyngibbs.mrf import (
+    NEG_INF,
     AddEdge,
     AddVertex,
     DeleteEdge,
     DeleteVertex,
     EdgePotential,
+    MrfInstance,
     SetEdgePotential,
     SetVertexPotential,
+    SpinDomain,
     UpdateBatch,
     VertexPotential,
     validate_feasibility,
@@ -281,6 +287,26 @@ class TestChainPool:
             assert cs.inst is inst_before
             assert (cs.epoch, cs.next_stream) == (epoch, stream)
 
+    def test_over_cap_batch_leaves_pool_untouched(self):
+        # The centre's not-equal edge leaves it no permissive spin, yet every
+        # boundary stays feasible; a ninth neighbour takes its degree past the
+        # enumeration cap, so the planned instance cannot be decided.
+        centre = 0
+        edges = {(centre, 1): EdgePotential(((NEG_INF, 0.0), (0.0, NEG_INF)))}
+        edges.update({(centre, u): ising_edge(0.1) for u in range(2, 9)})
+        inst = MrfInstance(SpinDomain(2),
+                           {v: ising_vertex(0.0) for v in range(10)}, edges)
+        assert validate_feasibility(inst).ok
+        cs = new_chain_set(inst, params(60, seed=8), self.schedule(5))
+        before = [(list(log.transitions()), log.final_config()) for log in cs.logs]
+        inst_before, epoch, stream = cs.inst, cs.epoch, cs.next_stream
+        with pytest.raises(DegreeTooLarge):
+            apply_update_multi(cs, UpdateBatch([AddEdge(centre, 9, ising_edge(0.1))]))
+        assert [(list(log.transitions()), log.final_config())
+                for log in cs.logs] == before
+        assert cs.inst is inst_before
+        assert (cs.epoch, cs.next_stream) == (epoch, stream)
+
 
 def _ring_plus_matching(n):
     h = n // 2
@@ -327,3 +353,58 @@ def test_update_cost_follows_footprint_not_n():
     assert large < 2 * small, (
         f"{large} calls at n=10^4 vs {small} at n=10^3 "
         f"({large_visits} vs {small_visits} visits)")
+
+
+def _edit_batches(n, count, rng):
+    """Batches shaped like the edit benchmark's: four vertex fields, one edge
+    coupling and a 2-edge rewire of the perfect matching each."""
+    h = n // 2
+    partner = {i: i + h for i in range(h)}
+    partner.update({i + h: i for i in range(h)})
+    ring = [(i, i + 1) for i in range(n - 1)]
+    for _ in range(count):
+        while True:
+            a, c = rng.sample(range(n), 2)
+            pa, pc = partner[a], partner[c]
+            # The new matching edges must not coincide with ring edges.
+            if c != pa and abs(a - pc) not in (1, n - 1) \
+                    and abs(c - pa) not in (1, n - 1):
+                break
+        recs = [SetVertexPotential(v, ising_vertex(rng.uniform(-0.1, 0.1)))
+                for v in rng.sample(range(n), 4)]
+        u, w = ring[rng.randrange(len(ring))]
+        recs.append(SetEdgePotential(u, w, ising_edge(rng.uniform(0.05, 0.15))))
+        recs += [DeleteEdge(a, pa), DeleteEdge(c, pc),
+                 AddEdge(a, pc, ising_edge(0.1)), AddEdge(c, pa, ising_edge(0.1))]
+        partner[a], partner[pc] = pc, a
+        partner[c], partner[pa] = pa, c
+        yield UpdateBatch(recs)
+
+
+class TestReplayBytes:
+    # sha256 over every batch's per-chain (r_ham, r_graph, filter_size) and
+    # transitions. The run includes correction-kernel redraws and residual
+    # redraws of the maximal coupling, so it pins both replay phases. The
+    # first batch also shifts one vertex potential by a constant: its
+    # conditionals do not change, so its filter ranks draw a correction coin
+    # but have no kernel to redraw from.
+    SHA256 = "b37eafbf0037166cb9a28c1031504745830ecaf2bef83bc15bb8fd080b39a5f2"
+
+    def test_edit_batches_at_scale(self):
+        n = 400
+        inst = ising_instance(n, _ring_plus_matching(n), 0.1)
+        sched = ScheduleFns(n_samples=PowerLogFn(6.0, 0.0, 0.0),
+                            eps=PowerLogFn(0.1, 0.0, 0.0))
+        cs = new_chain_set(inst, params(4000, seed=17, delta=1.0), sched)
+        batches = list(_edit_batches(n, 4, random.Random(17)))
+        shift = SetVertexPotential(n - 1, VertexPotential((0.1, 0.1)))
+        assert all(getattr(r, "vertex", None) != n - 1 for r in batches[0])
+        batches[0] = UpdateBatch(list(batches[0]) + [shift])
+        digest = hashlib.sha256()
+        for batch in batches:
+            _, metrics = apply_update_multi(cs, batch)
+            for m, log in zip(metrics, cs.logs):
+                digest.update(repr((m.r_ham, m.r_graph, m.filter_size)).encode())
+                digest.update(repr([(t.vertex, t.spin)
+                                    for t in log.transitions()]).encode())
+        assert digest.hexdigest() == self.SHA256
