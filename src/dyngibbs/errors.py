@@ -59,10 +59,6 @@ class RankOutOfRange(DynGibbsError):
     """Transition rank outside the valid range."""
 
 
-class VertexHasTransitions(DynGibbsError):
-    """Vertex removal attempted while its transitions are still logged."""
-
-
 # -- dynamic updater ---------------------------------------------------------
 
 class GraphMismatch(DynGibbsError):

@@ -11,17 +11,18 @@ One representation backs it: two rank-ordered columns (vertex, spin) plus,
 per vertex, the ascending list of ranks whose transition touches it. With n
 vertices, T transitions and k ranks on the queried vertex:
 
-  at, change, length                O(1)
+  at, change, length, columns       O(1)
   evaluate, successor               O(log k), one bisect
   steps_of                          O(k)
   insert at T + 1, remove at T      O(1)
   insert / remove at an inner rank  O(n + T): the columns shift at C level,
                                     and every vertex's later ranks move by one
+  load_run                          O(n + T): every rank list is rebuilt
 
-Spin changes dominate the dynamic updates and never move a rank. Inner rank
-edits come only from vertex additions and deletions, about T/n of them per
-chain per added or deleted vertex; at n = 2000, T = 2 * 10^4 each costs
-about a millisecond.
+Spin changes dominate the dynamic updates and never move a rank. The updater
+makes no inner rank edits: a vertex phase copies the columns, edits the copies
+at C level and reloads the log once through load_run, O(n + T) per chain, and
+the length correction only appends or pops at the tail.
 
 A log also keeps the final configuration X_T as an explicit dict, updated
 incrementally by every mutation, so sample extraction is O(n) copying.
@@ -33,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import RankOutOfRange, UnknownVertex, VertexHasTransitions
+from .errors import RankOutOfRange, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -82,31 +83,33 @@ class ExecutionLog:
     def from_run(
         cls, initial: Mapping[int, int], verts: list[int], spins: list[int]
     ) -> "ExecutionLog":
-        """Bulk constructor for a freshly generated chain (no validation)."""
+        """Bulk constructor for a freshly generated chain (no validation);
+        the columns are copied."""
         log = cls({})  # load_run builds every field once
-        log.load_run(initial, verts, spins)
+        log.load_run(initial, list(verts), list(spins))
         return log
 
     def load_run(
         self, initial: Mapping[int, int], verts: list[int], spins: list[int]
     ) -> None:
-        """Replace the whole log with a freshly generated chain, in place.
+        """Replace the whole log with the given run, in place; O(n + T).
 
-        Journal-aware: an open journal sees every final-config change, so a
-        full regeneration still yields a correct sample diff.
+        The log takes ownership of the two column lists; the caller must not
+        use them afterwards. Journal-aware: an open journal sees every
+        final-config change, so a reload still yields a correct sample diff.
         """
         old_vertices = set(self._initial)
         self._initial = dict(initial)
-        self._verts = list(verts)
-        self._spins = list(spins)
+        self._verts = verts
+        self._spins = spins
         self._ranks = {v: [] for v in self._initial}
-        for i, v in enumerate(self._verts):
+        for i, v in enumerate(verts):
             self._ranks[v].append(i + 1)
         for v in old_vertices - set(self._initial):
             self._jdel(v)
         for v, c0 in self._initial.items():
             rs = self._ranks[v]
-            self._jset(v, self._spins[rs[-1] - 1] if rs else c0)
+            self._jset(v, spins[rs[-1] - 1] if rs else c0)
 
     # -- size and iteration ---------------------------------------------------
 
@@ -129,6 +132,11 @@ class ExecutionLog:
     def final_config(self) -> dict[int, int]:
         """X at the end of the log; maintained incrementally, O(n) to copy."""
         return dict(self._final)
+
+    def columns(self) -> tuple[list[int], list[int]]:
+        """The vertex and spin columns in rank order, by reference; do not
+        mutate."""
+        return self._verts, self._spins
 
     def transitions(self) -> Iterator[Transition]:
         for v, c in zip(self._verts, self._spins):
@@ -224,21 +232,3 @@ class ExecutionLog:
     def compact(self) -> None:
         """No-op: the log has one representation, so there is nothing to
         compact. Kept because the benchmark's tracer still wraps it."""
-
-    # -- initial-state dictionary ---------------------------------------------
-
-    def add_vertex_initial(self, v: int, c: int) -> None:
-        if v in self._initial:
-            raise ValueError(f"vertex {v} already present")
-        self._initial[v] = c
-        self._jset(v, c)
-        self._ranks[v] = []
-
-    def remove_vertex(self, v: int) -> None:
-        if v not in self._initial:
-            raise UnknownVertex(f"vertex {v}")
-        if self._ranks[v]:
-            raise VertexHasTransitions(f"vertex {v} still has transitions")
-        del self._initial[v]
-        self._jdel(v)
-        del self._ranks[v]

@@ -24,9 +24,9 @@ C-level copies of the instance maps a phase changes; every intermediate
 instance is derived from the one before it, so each phase's precondition
 check compares only the items the batch named. Each chain then costs
 O(visits): the replays take the instance's adjacency mapping by reference
-and do no work proportional to n or m. The vertex phases add O(n + T) per
-rank they insert or remove inside the log, about T/n such edits per added
-or deleted vertex (see execlog). The feasibility of the planned
+and do no work proportional to n or m. A vertex phase rewrites each log
+once, O(n + T) per chain: it builds the new columns and reloads them, with
+no inner rank edits (see execlog). The feasibility of the planned
 instance is decided before any chain is touched, from the answer carried
 forward from the current instance, in O(|touched|).
 """
@@ -377,7 +377,8 @@ def add_vertices(
     The sites going to new vertices are chosen Bernoulli(s / (s + n)) per
     rank; the tail of the old run is dropped to make room, then each chosen
     site gets a uniform new vertex and a spin from its own potential. The
-    result is distributed as a fresh run of the enlarged instance.
+    result is distributed as a fresh run of the enlarged instance. The log
+    is rewritten once: new columns from the kept prefix, one reload.
     """
     dv, de = instance_delta(before, after)
     changed = _presence_changes(before, after, dv, ())
@@ -400,9 +401,10 @@ def add_vertices(
         if pos > T:
             break
         marks.append(pos)
-    length_fix(before, log, T - len(marks), rng)
+    initial = log.initial_config()
     for a in added:
-        log.add_vertex_initial(a, _isolated_initial(after, a))
+        initial[a] = _isolated_initial(after, a)
+    verts, spins = (col[:T - len(marks)] for col in log.columns())
     exp = math.exp
     weights: dict[int, list[float]] = {}
     for r in marks:
@@ -413,14 +415,17 @@ def add_vertices(
             m = max(phi)
             w = [exp(x - m) for x in phi]
             weights[u] = w
-        log.insert(r, u, categorical(w, rng.random()))
+        verts.insert(r - 1, u)
+        spins.insert(r - 1, categorical(w, rng.random()))
+    log.load_run(initial, verts, spins)
 
 
 def delete_vertices(
     before: MrfInstance, after: MrfInstance, log: ExecutionLog, rng
 ) -> None:
     """Remove isolated vertices and every transition touching them, then
-    extend the tail back to the original length under the shrunk instance."""
+    extend the tail back to the original length under the shrunk instance.
+    The log is rewritten once: filtered columns, one reload."""
     dv, de = instance_delta(before, after)
     changed = _presence_changes(before, after, dv, ())
     if any(after.has_vertex(v) for v in changed):
@@ -433,13 +438,13 @@ def delete_vertices(
     if not removed:
         return
     T = log.length
-    ranks: list[int] = []
+    initial = log.initial_config()
     for v in removed:
-        ranks.extend(log.steps_of(v))
-    for r in sorted(ranks, reverse=True):
-        log.remove(r)
-    for v in removed:
-        log.remove_vertex(v)
+        del initial[v]
+    verts, spins = (col[:] for col in log.columns())
+    for r in sorted((r for v in removed for r in log.steps_of(v)), reverse=True):
+        del verts[r - 1], spins[r - 1]
+    log.load_run(initial, verts, spins)
     length_fix(after, log, T, rng)
 
 
@@ -651,9 +656,10 @@ def apply_update_multi(
     raised when a vertex the check must enumerate is over the cap.
 
     Costs O(|batch| * Δ) for the plan plus, per chain, O(visits) and
-    O(n + T) for each inner rank edit of a vertex phase. Returns the exact
-    diff of the pool's sample set, assembled from each log's final-config
-    journal, so downstream estimators never rescan whole configurations.
+    O(n + T) for each vertex phase, which rewrites the log once. Returns the
+    exact diff of the pool's sample set, assembled from each log's
+    final-config journal, so downstream estimators never rescan whole
+    configurations.
     Chains are updated one after another in chain order.
     """
     plan = plan_update(cs.inst, batch, cs.params)

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from dyngibbs.errors import (
-    RankOutOfRange,
-    UnknownVertex,
-    VertexHasTransitions,
-)
+from dyngibbs import updater
+from dyngibbs.errors import RankOutOfRange, UnknownVertex
 from dyngibbs.execlog import ExecutionLog
+from dyngibbs.models import ising_instance, ising_vertex
+from dyngibbs.mrf import AddVertex, DeleteVertex, UpdateBatch
+from dyngibbs.rng import make_stream
 from helpers import LinearLog
 
 
@@ -86,19 +86,6 @@ class TestEdits:
         assert (log.at(1).vertex, log.at(1).spin) == (0, 0)
         assert log.evaluate(2, 0) == 0
 
-    def test_vertex_add_remove(self):
-        log = small_log()
-        log.add_vertex_initial(7, 1)
-        assert log.evaluate(4, 7) == 1
-        log.remove_vertex(7)
-        with pytest.raises(UnknownVertex):
-            log.evaluate(0, 7)
-
-    def test_remove_vertex_with_transitions_refused(self):
-        log = small_log()
-        with pytest.raises(VertexHasTransitions):
-            log.remove_vertex(0)
-
 
 class TestJournal:
     """The journal maps each touched vertex to its pre-journal final spin
@@ -114,17 +101,25 @@ class TestJournal:
         assert log.final_config()[2] == 0
 
     def test_records_vertex_membership(self):
+        # a reload that adds vertex 7 journals it as absent before
         log = small_log()
         log.begin_final_journal()
-        log.add_vertex_initial(7, 1)
+        log.load_run({0: 0, 1: 1, 2: 0, 7: 1}, [0, 1, 0, 2], [1, 0, 0, 1])
         journal = log.take_final_journal()
-        assert journal == {7: None}
+        assert journal[7] is None
+        assert log.evaluate(4, 7) == 1
+        assert {v for v in journal if journal[v] != log.final_config()[v]} == {7}
 
     def test_remove_records_old_spin(self):
+        # a reload that drops vertex 7 journals its old final spin
         log = ExecutionLog({0: 0, 7: 1})
         log.begin_final_journal()
-        log.remove_vertex(7)
-        assert log.take_final_journal() == {7: 1}
+        log.load_run({0: 0}, [], [])
+        journal = log.take_final_journal()
+        assert journal[7] == 1
+        assert log.final_config() == {0: 0}
+        with pytest.raises(UnknownVertex):
+            log.evaluate(0, 7)
 
     # Final spins: 0 -> 2 (rank 5), 1 -> 0 (rank 8), 2 -> 1 (rank 9), 3 -> 0
     # (rank 3, its only transition; initial 2).
@@ -180,37 +175,41 @@ def assert_agrees(log, twin):
 
 class TestInnerRankEdits:
     def test_vertex_phase_burst_agrees_with_linear(self):
-        # As add_vertices does it: new vertices, then inserts at ascending
-        # inner ranks; as delete_vertices does it: every rank of the doomed
-        # vertices removed from the back, then the vertices themselves.
+        # The vertex phases rewrite the columns and reload the log; its rank
+        # lists and final configuration must then answer every query as a
+        # linear scan of the same columns does.
         rng = random.Random(11)
         verts = [rng.randrange(4) for _ in range(200)]
-        spins = [rng.randrange(3) for _ in range(200)]
-        initial = {v: rng.randrange(3) for v in range(4)}
+        spins = [rng.randrange(2) for _ in range(200)]
+        initial = {v: rng.randrange(2) for v in range(4)}
         log = ExecutionLog.from_run(initial, verts, spins)
-        twin = LinearLog(initial)
-        twin.verts, twin.spins = list(verts), list(spins)
-        assert_agrees(log, twin)
+        draws = make_stream(11, 0)
 
-        for a in (4, 5):
-            log.add_vertex_initial(a, 1)
-            twin.initial[a] = 1
-        marks = sorted(rng.sample(range(1, 200), 30))
-        for r in marks:
-            v, c = rng.choice((4, 5)), rng.randrange(3)
-            log.insert(r, v, c)
-            twin.insert(r, v, c)
+        def twin_of(log):
+            twin = LinearLog(log.initial_config())
+            twin.verts, twin.spins = (list(col) for col in log.columns())
+            return twin
+
+        base = ising_instance(4, [(0, 2), (2, 3)], 0.2)
+        grown = base.apply_batch(UpdateBatch(
+            [AddVertex(a, ising_vertex(0.1)) for a in (4, 5)]))
+        updater.add_vertices(base, grown, log, draws)
+        twin = twin_of(log)
         assert_agrees(log, twin)
+        kept = [(v, c) for v, c in zip(twin.verts, twin.spins) if v < 4]
+        assert 0 < len(kept) < 200
+        assert kept == list(zip(verts, spins))[:len(kept)]
+        assert {v: twin.initial[v] for v in range(4)} == initial
 
         doomed = (1, 4)
-        ranks = sorted((r for v in doomed for r in log.steps_of(v)), reverse=True)
-        for r in ranks:
-            log.remove(r)
-            twin.remove(r)
-        for v in doomed:
-            log.remove_vertex(v)
-            del twin.initial[v]
+        shrunk = grown.apply_batch(UpdateBatch([DeleteVertex(v) for v in doomed]))
+        survivors = [(v, c) for v, c in zip(twin.verts, twin.spins)
+                     if v not in doomed]
+        updater.delete_vertices(grown, shrunk, log, draws)
+        twin = twin_of(log)
         assert_agrees(log, twin)
+        assert list(zip(twin.verts, twin.spins))[:len(survivors)] == survivors
+        assert set(twin.initial) == {0, 2, 3, 5}
 
 
 class TestFuzzAgainstLinear:

@@ -23,7 +23,9 @@ from dyngibbs.models import (
     coloring_edge,
     coloring_instance,
     coloring_vertex,
+    hardcore_edge,
     hardcore_instance,
+    hardcore_vertex,
     ising_edge,
     ising_instance,
     ising_vertex,
@@ -230,21 +232,34 @@ class TestChainPool:
     def test_multi_update_diff_matches_brute_force(self):
         inst = ising_instance(5, [(0, 1), (1, 2), (2, 3), (3, 4)], 0.25)
         cs = new_chain_set(inst, params(300, seed=11), self.schedule(6))
-        before = cs.samples()
-        batch = UpdateBatch([
-            SetVertexPotential(1, VertexPotential((0.3, -0.3))),
-            DeleteEdge(2, 3),
-        ])
-        diff, metrics = apply_update_multi(cs, batch)
-        after = cs.samples()
-        want = sample_diff(before, after)
-        got = {(e.chain, e.vertex): (e.old, e.new) for e in diff.entries}
-        expect = {(e.chain, e.vertex): (e.old, e.new) for e in want.entries}
-        assert got == expect
-        assert diff.added_chains == want.added_chains
-        assert diff.removed_chains == want.removed_chains
-        assert len(metrics) == 6
-        assert cs.epoch == 1
+        # (batch, vertices with old=None entries, vertices with new=None
+        # entries). The pool size stays 6, so every chain survives the
+        # vertex phases and carries such entries itself.
+        cases = [
+            (UpdateBatch([
+                SetVertexPotential(1, VertexPotential((0.3, -0.3))),
+                DeleteEdge(2, 3),
+            ]), set(), set()),
+            (UpdateBatch([AddVertex(7, ising_vertex(0.2)),
+                          AddEdge(7, 2, ising_edge(0.25))]), {7}, set()),
+            (UpdateBatch([DeleteEdge(3, 4), DeleteVertex(4)]), set(), {4}),
+        ]
+        for epoch, (batch, born, gone) in enumerate(cases, 1):
+            before = cs.samples()
+            diff, metrics = apply_update_multi(cs, batch)
+            after = cs.samples()
+            want = sample_diff(before, after)
+            got = {(e.chain, e.vertex): (e.old, e.new) for e in diff.entries}
+            expect = {(e.chain, e.vertex): (e.old, e.new) for e in want.entries}
+            assert got == expect
+            assert diff.added_chains == want.added_chains
+            assert diff.removed_chains == want.removed_chains
+            assert len(metrics) == 6
+            assert cs.epoch == epoch
+            assert {(i, v) for (i, v), (old, _) in got.items() if old is None} \
+                == {(i, v) for i in range(6) for v in born}
+            assert {(i, v) for (i, v), (_, new) in got.items() if new is None} \
+                == {(i, v) for i in range(6) for v in gone}
 
     def test_resize_on_vertex_growth(self):
         # sample count follows n; adding vertices appends fresh tail chains
@@ -407,4 +422,45 @@ class TestReplayBytes:
                 digest.update(repr((m.r_ham, m.r_graph, m.filter_size)).encode())
                 digest.update(repr([(t.vertex, t.spin)
                                     for t in log.transitions()]).encode())
+        assert digest.hexdigest() == self.SHA256
+
+
+class TestVertexPhaseBytes:
+    # sha256 over every batch's diff entries, added and removed chains,
+    # per-chain (r_ham, r_graph, filter_size, regenerated), and each log's
+    # transitions, initial and final configurations. The batches alternate
+    # as the churn benchmark's do: add a vertex and attach it, then detach
+    # it and delete it. ceil(0.02 n) flips between 6 and 7 as n flips
+    # between 300 and 301, so the pool also resizes on every batch.
+    SHA256 = "ea52fb4d8afd0b07e8ebc53a841cf7be2366cee6e57b13b6ca7ac2e30aa395e4"
+
+    def test_vertex_churn_batches(self):
+        n = 300
+        inst = hardcore_instance(n, _ring_plus_matching(n), 0.2)
+        sched = ScheduleFns(n_samples=PowerLogFn(0.02, 1.0, 0.0),
+                            eps=PowerLogFn(0.1, 0.0, 0.0))
+        cs = new_chain_set(inst, params(10 * n, seed=23, delta=1.0), sched)
+        rng = random.Random(23)
+        digest = hashlib.sha256()
+        for k in range(12):
+            if k % 2 == 0:
+                v, anchor = n + k // 2, rng.randrange(n)
+                batch = UpdateBatch([AddVertex(v, hardcore_vertex(0.2)),
+                                     AddEdge(v, anchor, hardcore_edge())])
+            else:
+                batch = UpdateBatch([DeleteEdge(v, anchor), DeleteVertex(v)])
+            pool = len(cs.logs)
+            diff, metrics = apply_update_multi(cs, batch)
+            assert len(cs.logs) != pool
+            digest.update(repr([(e.chain, e.vertex, e.old, e.new)
+                                for e in diff.entries]).encode())
+            digest.update(repr((diff.added_chains, diff.removed_chains)).encode())
+            for m in metrics:
+                digest.update(repr((m.r_ham, m.r_graph, m.filter_size,
+                                    m.regenerated)).encode())
+            for log in cs.logs:
+                digest.update(repr([(t.vertex, t.spin)
+                                    for t in log.transitions()]).encode())
+                digest.update(repr(sorted(log.initial_config().items())).encode())
+                digest.update(repr(sorted(log.final_config().items())).encode())
         assert digest.hexdigest() == self.SHA256
