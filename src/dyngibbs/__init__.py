@@ -49,7 +49,6 @@ from .mrf import (
     DobrushinReport,
     EdgePotential,
     FeasibilityReport,
-    InstanceDiff,
     LocalView,
     MrfInstance,
     SetEdgePotential,
@@ -58,7 +57,6 @@ from .mrf import (
     UpdateBatch,
     VertexPotential,
     dobrushin_check,
-    instance_diff,
     local_restriction,
     validate_feasibility,
 )

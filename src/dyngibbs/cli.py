@@ -564,35 +564,40 @@ def _verify_coupling(rng) -> tuple[bool, str]:
 
 
 def _verify_law(rng) -> tuple[bool, str]:
-    from .models import ising_instance
+    from .models import coloring_edge, coloring_instance, ising_instance
+    from .oracle import encode_config
     from .updater import execute_update, plan_update
     from .rng import make_stream
 
-    old = ising_instance(3, [(0, 1), (1, 2)], 0.35, field=0.1)
-    batch = UpdateBatch(
-        [
-            SetVertexPotential(1, VertexPotential((-0.4, 0.4))),
-            SetEdgePotential(0, 1, EdgePotential(((-0.6, 0.6), (0.6, -0.6)))),
-        ]
-    )
-    params = ChainParams(delta=0.5, eps_fn=lambda n: 0.1, seed=17, length_override=6)
-    plan = plan_update(old, batch, params)
     reps = 15_000
-    counts_dyn = [0] * 8
-    counts_fresh = [0] * 8
-    for i in range(reps):
-        log = run_chain(old, params, stream=i)
-        execute_update(
-            plan, log, make_stream(params.seed, VERIFY_UPDATE_STREAM_OFFSET + i)
-        )
-        fc = log.final_config()
-        counts_dyn[fc[0] + 2 * fc[1] + 4 * fc[2]] += 1
-        log2 = run_chain(plan.final, params, stream=VERIFY_FRESH_STREAM_OFFSET + i)
-        fc2 = log2.final_config()
-        counts_fresh[fc2[0] + 2 * fc2[1] + 4 * fc2[2]] += 1
-    tv = sum(abs(a - b) for a, b in zip(counts_dyn, counts_fresh)) / (2 * reps)
-    ok = tv <= 0.05
-    return ok, f"TV(updated, fresh) = {tv:.4f} over {reps} runs each (limit 0.05)"
+    params = ChainParams(delta=0.5, eps_fn=lambda n: 0.1, seed=17, length_override=6)
+    # (name, instance, records, TV limit). Scenario k offsets its run, update
+    # and fresh stream ids by k * reps. The colouring edge add is a
+    # hard-constraint edit; a start that depended on the edges put it at 0.26.
+    scenarios = [
+        ("ising potentials", ising_instance(3, [(0, 1), (1, 2)], 0.35, field=0.1),
+         [SetVertexPotential(1, VertexPotential((-0.4, 0.4))),
+          SetEdgePotential(0, 1, EdgePotential(((-0.6, 0.6), (0.6, -0.6))))], 0.05),
+        ("colouring edge add", coloring_instance(3, [(0, 1), (1, 2)], 4),
+         [AddEdge(0, 2, coloring_edge(4))], 0.1),
+    ]
+    ok, parts = True, []
+    for k, (name, old, records, limit) in enumerate(scenarios):
+        plan = plan_update(old, UpdateBatch(records), params)
+        ids, q = plan.final.vertex_ids(), plan.final.q
+        counts = [[0] * q ** len(ids) for _ in range(2)]
+        for i in range(k * reps, (k + 1) * reps):
+            log = run_chain(old, params, stream=i)
+            execute_update(
+                plan, log, make_stream(params.seed, VERIFY_UPDATE_STREAM_OFFSET + i)
+            )
+            fresh = run_chain(plan.final, params, stream=VERIFY_FRESH_STREAM_OFFSET + i)
+            for c, chain in zip(counts, (log, fresh)):
+                c[encode_config(ids, q, chain.final_config())] += 1
+        tv = sum(abs(a - b) for a, b in zip(*counts)) / (2 * reps)
+        ok = ok and tv <= limit
+        parts.append(f"{name} {tv:.4f} (limit {limit})")
+    return ok, f"TV(updated, fresh) over {reps} runs each: " + "; ".join(parts)
 
 
 def _verify_estimators(rng) -> tuple[bool, str]:

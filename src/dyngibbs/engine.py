@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GraphMismatch, InfeasibleInstance
 from .execlog import ExecutionLog
-from .mrf import NEG_INF, MrfInstance, _CompiledInstance
+from .mrf import NEG_INF, MrfInstance, _CompiledInstance, start_spin
 from .rng import categorical, make_stream, uniform_index
 
 
@@ -50,28 +50,6 @@ def mixing_length(n: int, params: ChainParams) -> int:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps_fn({n}) = {eps} outside (0,1)")
     return math.ceil((n / params.delta) * math.log(n / eps))
-
-
-def _greedy_initial_dense(comp: _CompiledInstance) -> list[int]:
-    # Ascending-id scan; earlier-indexed neighbors are already assigned.
-    cfg = [0] * len(comp.ids)
-    for j in range(len(comp.ids)):
-        chosen = -1
-        for c in range(comp.q):
-            if comp.phis[j][c] == NEG_INF:
-                continue
-            ok = True
-            for u_pos, mat in zip(comp.nbr_idx[j], comp.mats[j]):
-                if u_pos < j and mat[cfg[u_pos]][c] == NEG_INF:
-                    ok = False
-                    break
-            if ok:
-                chosen = c
-                break
-        if chosen < 0:
-            raise InfeasibleInstance(f"no feasible start at vertex {comp.ids[j]}")
-        cfg[j] = chosen
-    return cfg
 
 
 def _advance(
@@ -112,11 +90,16 @@ def fresh_run(
     """A fresh T-step chain for the instance: its initial configuration and
     its vertex and spin columns.
 
-    X0 is the greedy feasible assignment (all-unoccupied for the occupancy
-    model, since the empty spin is always compatible).
+    X0 puts every vertex at the first spin its own potential allows
+    (``mrf.start_spin``), whatever the edges, so an edge edit never moves
+    it: all zeros for the two-spin and occupancy models, colour 0 everywhere
+    for a colouring. A chain too short to visit every vertex can therefore
+    end improper; at the mixing length the chance is at most
+    n (eps/n)^(1/delta) <= eps, inside the promised accuracy, and fresh and
+    updated logs share the law.
     """
     comp = inst.compiled()
-    cfg = _greedy_initial_dense(comp)
+    cfg = [start_spin(phi) for phi in comp.phis]
     initial = dict(zip(comp.ids, cfg))
     verts: list[int] = []
     spins: list[int] = []

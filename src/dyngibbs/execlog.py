@@ -12,6 +12,7 @@ per vertex, the ascending list of ranks whose transition touches it. With n
 vertices, T transitions and k ranks on the queried vertex:
 
   at, change, length, columns       O(1)
+  set_initial                       O(1)
   evaluate, successor               O(log k), one bisect
   steps_of                          O(k)
   insert at T + 1, remove at T      O(1)
@@ -220,6 +221,15 @@ class ExecutionLog:
             if rs and rs[-1] >= t:
                 i = bisect_left(rs, t)
                 rs[i:] = [r + d for r in rs[i:]]
+
+    def set_initial(self, v: int, c: int) -> None:
+        """Set v's spin in X0. It is also v's final spin when v has no
+        transitions, and only then does an open journal see a change."""
+        if v not in self._initial:
+            raise UnknownVertex(f"vertex {v}")
+        self._initial[v] = c
+        if not self._ranks[v]:
+            self._jset(v, c)
 
     def change(self, t: int, c: int) -> None:
         if not 1 <= t <= self.length:

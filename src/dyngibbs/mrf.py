@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .errors import (
     DegreeTooLarge,
     DomainMismatch,
+    InfeasibleInstance,
     InfeasibleNeighborhood,
     InvalidBatch,
     MissingBoundary,
@@ -544,21 +545,18 @@ def local_restriction(inst: MrfInstance, v: int) -> LocalView:
     )
 
 
+def start_spin(weights: Sequence[float]) -> int:
+    """The spin a chain starts a vertex at: the first one its own potential
+    allows. Edges play no part, so an edge edit never moves the start."""
+    for c, w in enumerate(weights):
+        if w > NEG_INF:
+            return c
+    raise InfeasibleInstance("every spin excluded by the vertex potential")
+
+
 # ---------------------------------------------------------------------------
 # Instance difference
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InstanceDiff:
-    """Graph distance, potential distance, and their sum."""
-
-    d_graph: float
-    d_ham: float
-
-    @property
-    def d_total(self) -> float:
-        return self.d_graph + self.d_ham
-
 
 def _l1(a: Sequence[float], b: Sequence[float]) -> float:
     total = 0.0
@@ -611,32 +609,6 @@ def instance_delta(
         frozenset(_map_delta(before._vertices, after._vertices)),
         frozenset(_map_delta(before._edges, after._edges)),
     )
-
-
-def instance_diff(a: MrfInstance, b: MrfInstance) -> InstanceDiff:
-    """Symmetric-difference counts plus L1 potential distance on shared items.
-
-    A finite/-inf mismatch inside any shared potential makes d_ham infinite,
-    which downstream code treats as "regenerate from scratch". Only the items
-    ``instance_delta`` names are visited, so a parent and its derived child
-    compare in O(|batch|).
-    """
-    dv, de = instance_delta(a, b)
-    d_graph = 0
-    d_ham = 0.0
-    for v in dv:
-        pa, pb = a._vertices.get(v), b._vertices.get(v)
-        if pa is None or pb is None:
-            d_graph += pa is not pb
-            continue
-        d_ham += _l1(pa.weights, pb.weights)  # an infinite term stays infinite
-    for k in de:
-        pa, pb = a._edges.get(k), b._edges.get(k)
-        if pa is None or pb is None:
-            d_graph += pa is not pb
-            continue
-        d_ham += _l1_matrix(pa.weights, pb.weights)
-    return InstanceDiff(float(d_graph), d_ham)
 
 
 # ---------------------------------------------------------------------------

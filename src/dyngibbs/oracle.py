@@ -1,5 +1,8 @@
 """Brute-force ground truth for tests: exact Gibbs law, TV, marginals, and a
-naive reference simulator. Everything here is guarded to desk scale."""
+naive reference simulator. Everything here is guarded to desk scale.
+
+The simulator starts from ``initial_config``, the engine's edge-free start
+rule written out again, so the two stay independent twins."""
 
 from __future__ import annotations
 
@@ -92,28 +95,17 @@ def exact_marginal(dist: ExactDistribution, subset: Sequence[int]) -> list[float
     return out
 
 
-def greedy_initial(inst: MrfInstance) -> dict[int, int]:
-    """First positive-weight spin per vertex, scanning ascending ids with
-    already-assigned neighbors as the boundary. Exists for feasible instances."""
+def initial_config(inst: MrfInstance) -> dict[int, int]:
+    """The start of every chain: each vertex at the lowest spin of positive
+    weight under its own potential. Edges are not consulted, so the start
+    may be improper (a colouring starts at colour 0 everywhere)."""
     config: dict[int, int] = {}
     for v in inst.vertex_ids():
-        phi = inst.vertex_potential(v).weights
-        chosen = None
-        for c in range(inst.q):
-            w = phi[c]
-            if w == NEG_INF:
-                continue
-            ok = True
-            for u in inst.neighbors(v):
-                if u in config and inst.edge_potential(u, v).weights[config[u]][c] == NEG_INF:
-                    ok = False
-                    break
-            if ok:
-                chosen = c
-                break
-        if chosen is None:
-            raise InfeasibleInstance(f"greedy start blocked at vertex {v}")
-        config[v] = chosen
+        allowed = [c for c, w in enumerate(inst.vertex_potential(v).weights)
+                   if w != NEG_INF]
+        if not allowed:
+            raise InfeasibleInstance(f"vertex {v}: no spin of positive weight")
+        config[v] = min(allowed)
     return config
 
 
@@ -122,12 +114,13 @@ def reference_chain(
 ) -> dict[int, int]:
     """Plain dict-based Gibbs run; bit-exact twin of the engine's sampler.
 
+    Starts from ``initial_config``, the edge-free start the engine uses.
     Per step: one uniform picks the vertex (ascending-id order), one uniform
     picks the spin by inverse CDF over the conditional weights.
     """
     rng = make_stream(seed, stream)
     ids = inst.vertex_ids()
-    config = greedy_initial(inst)
+    config = initial_config(inst)
     q = inst.q
     for _ in range(T):
         v = ids[uniform_index(len(ids), rng.random())]

@@ -20,7 +20,8 @@ Stream ids are one registry of disjoint 64-bit ranges:
 * ``[2**33, 2**33 + 2**62)``: replay draws, ``update_stream(epoch, chain)``.
 * ``[2**63, 2**63 + 2**61)``: baselines regenerated by ``dyngibbs bench``.
 * ``[2**63 + 2**61, 2**63 + 2**62)`` and ``[2**63 + 2**62, 2**64)``: the
-  updated and the fresh chains of ``dyngibbs verify``'s law check.
+  updated and the fresh chains of ``dyngibbs verify``'s law check. Its
+  scenario k takes the 15 000 ids from offset + 15 000 k.
 """
 
 from __future__ import annotations

@@ -18,6 +18,12 @@ or its vertex itself sits in D. At an untouched vertex the recorded draw is
 coupled maximally with a draw under Y's boundary, then corrected at a filter
 rank. Everything else is provably identical on both chains and is skipped.
 
+Every chain starts with each vertex at the first spin its own potential
+allows, whatever the edges, so only the potential phase moves X0: at a
+vertex whose first allowed spin changes, which enters D at rank 0. A weight
+flipped between finite and -inf is replayed like any other potential edit;
+no chain is ever regenerated.
+
 Cost model. An edit costs its footprint, not the size of the model. The plan
 is built once per batch from the batch's own records: O(|batch| * Δ) plus
 C-level copies of the instance maps a phase changes; every intermediate
@@ -40,7 +46,7 @@ from heapq import heappop, heappush
 from typing import Mapping, Optional
 
 from .coupling import correction_kernel, maximal_couple_conditional, p_up
-from .engine import ChainParams, fresh_run, length_fix, mixing_length, run_chain
+from .engine import ChainParams, length_fix, mixing_length, run_chain
 from .errors import (
     GraphMismatch,
     InfeasibleInstance,
@@ -51,7 +57,6 @@ from .errors import (
 from .execlog import ExecutionLog
 from .inference import DiffEntry, SampleDiff, ScheduleFns
 from .mrf import (
-    NEG_INF,
     AddEdge,
     AddVertex,
     DeleteEdge,
@@ -62,8 +67,8 @@ from .mrf import (
     SetVertexPotential,
     UpdateBatch,
     instance_delta,
-    instance_diff,
     local_restriction,
+    start_spin,
     validate_feasibility,
 )
 from .rng import (
@@ -212,9 +217,13 @@ def _replay(
     rng,
     touched=frozenset(),
     filt: Optional[FilterSet] = None,
+    starts=(),
 ) -> int:
     """Replay the log from old's law to new's, in place; returns the number
     of ranks visited.
+
+    starts lists (v, y0) for the vertices whose start spin moves: Y0 gets
+    y0, and v enters the disagreement set at rank 0 holding X0's spin.
 
     A touched vertex is redrawn fresh from the new conditional under the Y
     boundary at each of its transitions (always one uniform: the product
@@ -226,6 +235,10 @@ def _replay(
     """
     adj = old.adjacency()
     rp = _Replay(log, adj, extra=touched)
+    for v, y0 in starts:
+        x0 = log.evaluate(0, v)
+        log.set_initial(v, y0)
+        rp.record(v, x0, y0)
     touched = rp.extra
     d_x = rp.d_x
     fsteps = filt.steps if filt is not None else ()
@@ -296,12 +309,20 @@ def update_hamiltonian(
     At a visited rank the recorded draw is coupled maximally with a draw from
     the old law under the Y boundary; at a filter rank a correction coin
     (always one uniform) decides whether Y is redrawn from the kernel that
-    maps the old conditional onto the new one.
+    maps the old conditional onto the new one. A weight flipped between
+    finite and -inf gets p_up 1, so every transition of the vertices it
+    touches is a filter rank. Where a vertex potential's first allowed spin
+    moves, X0 moves with it.
     """
     dv, de = instance_delta(old_inst, new_inst)
     if _presence_changes(old_inst, new_inst, dv, de):
         raise GraphMismatch("potential phase requires identical graphs")
-    return _replay(old_inst, new_inst, log, rng, filt=filt)
+    starts = []
+    for v in sorted(dv):
+        y0 = start_spin(new_inst.vertex_potential(v).weights)
+        if y0 != start_spin(old_inst.vertex_potential(v).weights):
+            starts.append((v, y0))
+    return _replay(old_inst, new_inst, log, rng, filt=filt, starts=starts)
 
 
 def update_edge(
@@ -362,13 +383,6 @@ def _check_vertex_phase(before: MrfInstance, after: MrfInstance, dv, de) -> None
     _check_shared_potentials(before, after, (), de)
 
 
-def _isolated_initial(inst: MrfInstance, v: int) -> int:
-    for c, w in enumerate(inst.vertex_potential(v).weights):
-        if w > NEG_INF:
-            return c
-    raise InfeasibleInstance(f"vertex {v}: every spin excluded")
-
-
 def add_vertices(
     before: MrfInstance, after: MrfInstance, log: ExecutionLog, rng
 ) -> None:
@@ -403,7 +417,7 @@ def add_vertices(
         marks.append(pos)
     initial = log.initial_config()
     for a in added:
-        initial[a] = _isolated_initial(after, a)
+        initial[a] = start_spin(after.vertex_potential(a).weights)
     verts, spins = (col[:T - len(marks)] for col in log.columns())
     exp = math.exp
     weights: dict[int, list[float]] = {}
@@ -454,7 +468,8 @@ def delete_vertices(
 
 @dataclass
 class UpdateMetrics:
-    """Work accounting for one chain's update."""
+    """Work accounting for one chain's update. regenerated is always False
+    (no chain is regenerated); it stays because the benchmark reports it."""
 
     r_ham: int = 0
     r_graph: int = 0
@@ -469,7 +484,6 @@ class _UpdatePlan:
     # Instance pipeline shared by every chain; drawing stays per chain.
     final: MrfInstance
     target: int
-    regenerate: bool
     pbar: Mapping[int, float]
     phases: tuple  # (name, before_inst, after_inst) triples, in order
 
@@ -512,10 +526,6 @@ def plan_update(
         elif was:
             dels.append((u, w))
     mid = inst.apply_batch(UpdateBatch(recs)) if recs else inst
-    if math.isinf(instance_diff(inst, mid).d_ham):
-        # A shared potential flipped between finite and -inf: the correction
-        # bound is useless, regenerate the whole run instead.
-        return _UpdatePlan(final, target, True, {}, ())
     phases = []
     pbar: dict[int, float] = {}
     if recs:
@@ -545,18 +555,13 @@ def plan_update(
             cur = nxt
     # cur equals final by value; it is the instance the last phase updates
     # the logs to, so it becomes the pool's instance.
-    return _UpdatePlan(cur if phases else final, target, False, pbar, tuple(phases))
+    return _UpdatePlan(cur if phases else final, target, pbar, tuple(phases))
 
 
 def execute_update(plan: _UpdatePlan, log: ExecutionLog, rng) -> UpdateMetrics:
     """Run the planned phases against one chain's log, in place."""
     t0 = time.perf_counter()
     m = UpdateMetrics()
-    if plan.regenerate:
-        log.load_run(*fresh_run(plan.final, plan.target, rng))
-        m.regenerated = True
-        m.wall_time = time.perf_counter() - t0
-        return m
     for name, before, after in plan.phases:
         p0 = time.perf_counter()
         if name == "potentials":
@@ -649,11 +654,13 @@ def apply_update_multi(
 ) -> tuple[SampleDiff, list[UpdateMetrics]]:
     """Update every chain in the pool and resize it to the new sample count.
 
-    All or nothing on infeasible batches: the planned instance's feasibility
-    is checked, in O(|touched|) with the answer carried forward from cs.inst,
-    before any chain is touched, and InfeasibleInstance leaves the pool, its
-    instance, epoch and stream counter as they were. So does DegreeTooLarge,
-    raised when a vertex the check must enumerate is over the cap.
+    All or nothing on infeasible batches: every instance a phase leads to,
+    the planned one last, is checked in O(|touched|) with the answer carried
+    forward from cs.inst, before any chain is touched, and
+    InfeasibleInstance leaves the pool, its instance, epoch and stream
+    counter as they were. So does DegreeTooLarge, raised when a vertex the
+    check must enumerate is over the cap. So -inf potential edits that are
+    feasible only through an edge deletion in the same batch are refused.
 
     Costs O(|batch| * Δ) for the plan plus, per chain, O(visits) and
     O(n + T) for each vertex phase, which rewrites the log once. Returns the
@@ -663,12 +670,13 @@ def apply_update_multi(
     Chains are updated one after another in chain order.
     """
     plan = plan_update(cs.inst, batch, cs.params)
-    rep = validate_feasibility(plan.final)
-    if not rep.ok:
-        raise InfeasibleInstance(
-            f"updated instance is infeasible at vertex {rep.vertex} under "
-            f"boundary {dict(rep.boundary)}"
-        )
+    for name, _, after in plan.phases or (("batch", cs.inst, plan.final),):
+        rep = validate_feasibility(after)
+        if not rep.ok:
+            raise InfeasibleInstance(
+                f"instance after the {name} phase is infeasible at vertex "
+                f"{rep.vertex} under boundary {dict(rep.boundary)}"
+            )
     entries: list[DiffEntry] = []
     metrics: list[UpdateMetrics] = []
     seed, epoch = cs.params.seed, cs.epoch

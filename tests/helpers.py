@@ -133,10 +133,11 @@ def config_code(config, ids, q):
 
 
 def exact_final_law(inst, T):
-    """Distribution of the chain state after exactly T steps from the greedy
-    start, by dense transition-matrix power. Only for q^n <= a few hundred."""
+    """Distribution of the chain state after exactly T steps from the
+    edge-free start, by dense transition-matrix power. Only for q^n <= a
+    few hundred."""
     from dyngibbs.mrf import local_restriction
-    from dyngibbs.oracle import decode_config, encode_config, greedy_initial
+    from dyngibbs.oracle import decode_config, encode_config, initial_config
 
     ids = inst.vertex_ids()
     q = inst.q
@@ -153,5 +154,5 @@ def exact_final_law(inst, T):
                 cfg2[v] = c
                 P[code, encode_config(ids, q, cfg2)] += mu[c] / len(ids)
     start = np.zeros(K)
-    start[encode_config(ids, q, greedy_initial(inst))] = 1.0
+    start[encode_config(ids, q, initial_config(inst))] = 1.0
     return start @ np.linalg.matrix_power(P, T)

@@ -121,6 +121,21 @@ class TestJournal:
         with pytest.raises(UnknownVertex):
             log.evaluate(0, 7)
 
+    def test_set_initial_journals_only_untouched_vertices(self):
+        # X0 is also the final spin of a vertex with no transitions, and only
+        # such a vertex gets a journal entry
+        log = ExecutionLog.from_run({0: 0, 1: 0, 2: 1}, [0, 1], [1, 1])
+        log.begin_final_journal()
+        log.set_initial(0, 2)
+        log.set_initial(2, 0)
+        journal = log.take_final_journal()
+        assert journal == {2: 1}
+        assert log.initial_config() == {0: 2, 1: 0, 2: 0}
+        assert log.final_config() == {0: 1, 1: 1, 2: 0}
+        assert [log.evaluate(0, v) for v in (0, 1, 2)] == [2, 0, 0]
+        with pytest.raises(UnknownVertex):
+            log.set_initial(7, 0)
+
     # Final spins: 0 -> 2 (rank 5), 1 -> 0 (rank 8), 2 -> 1 (rank 9), 3 -> 0
     # (rank 3, its only transition; initial 2).
     INITIAL = {0: 0, 1: 0, 2: 0, 3: 2}

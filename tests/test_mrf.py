@@ -1,4 +1,4 @@
-"""Instance model: potentials, batches, diffs, feasibility, influence."""
+"""Instance model: potentials, batches, feasibility, influence."""
 
 import math
 
@@ -27,7 +27,6 @@ from dyngibbs.mrf import (
     UpdateBatch,
     VertexPotential,
     dobrushin_check,
-    instance_diff,
     local_restriction,
     validate_feasibility,
 )
@@ -184,30 +183,6 @@ class TestConditional:
         mu = local_restriction(inst, 0).conditional({1: boundary_spin % q})
         assert sum(mu) == pytest.approx(1.0, abs=1e-9)
         assert all(p >= 0.0 for p in mu)
-
-
-class TestDiff:
-    def test_graph_distance_counts_symmetric_difference(self):
-        a = tiny()
-        b = a.apply_batch(UpdateBatch([
-            DeleteEdge(0, 1),
-            AddEdge(0, 2, EdgePotential([[0.0] * 2] * 2)),
-            AddVertex(9, VertexPotential([0.0, 0.0])),
-        ]))
-        d = instance_diff(a, b)
-        assert d.d_graph == 3
-        assert instance_diff(a, a).d_graph == 0
-
-    def test_hamiltonian_distance_is_l1_on_shared(self):
-        a = tiny()
-        b = a.apply_batch(UpdateBatch([SetVertexPotential(0, VertexPotential([0.6, 0.1]))]))
-        d = instance_diff(a, b)
-        assert d.d_ham == pytest.approx(0.5, abs=1e-12)
-
-    def test_finiteness_flip_is_infinite(self):
-        a = tiny()
-        b = a.apply_batch(UpdateBatch([SetVertexPotential(0, VertexPotential([NEG_INF, 0.1]))]))
-        assert math.isinf(instance_diff(a, b).d_ham)
 
 
 class TestFeasibility:

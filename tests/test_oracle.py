@@ -5,14 +5,14 @@ import math
 import pytest
 
 from dyngibbs.models import coloring_instance, hardcore_instance, ising_instance
-from dyngibbs.mrf import NEG_INF
+from dyngibbs.mrf import NEG_INF, SetVertexPotential, UpdateBatch, VertexPotential
 from dyngibbs.oracle import (
     decode_config,
     encode_config,
     exact_gibbs,
     exact_marginal,
     exact_tv,
-    greedy_initial,
+    initial_config,
     reference_chain,
 )
 
@@ -60,15 +60,15 @@ def test_tv_properties():
     assert d == pytest.approx(exact_tv(b, a), abs=1e-15)
 
 
-def test_greedy_initial_ising_is_all_zero():
-    inst = ising_instance(4, [(0, 1), (1, 2)], 0.4, field=-0.3)
-    assert greedy_initial(inst) == {v: 0 for v in range(4)}
-
-
-def test_greedy_initial_respects_exclusions():
-    inst = coloring_instance(3, [(0, 1), (1, 2), (0, 2)], 3)
-    start = greedy_initial(inst)
-    assert start == {0: 0, 1: 1, 2: 2}
+def test_initial_config_ignores_edges():
+    # every vertex at the first spin its own potential allows: a colouring
+    # triangle starts at colour 0 everywhere, with or without its edges
+    triangle = coloring_instance(3, [(0, 1), (1, 2), (0, 2)], 3)
+    assert initial_config(triangle) == {0: 0, 1: 0, 2: 0}
+    assert initial_config(coloring_instance(3, [], 3)) == {0: 0, 1: 0, 2: 0}
+    forbid = triangle.apply_batch(UpdateBatch(
+        [SetVertexPotential(1, VertexPotential((NEG_INF, 0.0, 0.0)))]))
+    assert initial_config(forbid) == {0: 0, 1: 1, 2: 0}
 
 
 def test_reference_chain_is_deterministic():

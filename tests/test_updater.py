@@ -113,16 +113,33 @@ class TestLawPreservation:
         ])
         assert updated_law_tv(old, batch, 14, self.REPS) < 0.05
 
-    def test_regeneration_fallback(self):
-        # flipping a weight to -inf makes the smooth path unsound; the plan
-        # must regenerate, and the law must still come out right
-        old = ising_instance(3, [(0, 1), (1, 2)], 0.2)
-        batch = UpdateBatch([
-            SetVertexPotential(2, VertexPotential((0.0, float("-inf")))),
-        ])
-        plan = plan_update(old, batch, params(12))
-        assert plan.regenerate
-        assert updated_law_tv(old, batch, 12, self.REPS) < 0.05
+    # Weights flipped between finite and -inf are replayed with every
+    # transition of the vertices they touch as a correction rank. Colouring
+    # edges are hard constraints too, and a start that consulted the edges
+    # would leave an edited colouring log with the wrong X0. Forbidding
+    # colour 0 moves the start.
+    COLORING = coloring_instance(3, [(0, 1), (1, 2)], 4)
+    NO_ZERO = VertexPotential((NEG_INF, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("old, records, T", [
+        pytest.param(ising_instance(3, [(0, 1), (1, 2)], 0.2),
+                     [SetVertexPotential(2, VertexPotential((0.0, NEG_INF)))],
+                     12, id="ising-forbid-1"),
+        pytest.param(COLORING, [AddEdge(0, 2, coloring_edge(4))], 6,
+                     id="coloring-add-edge"),
+        pytest.param(COLORING, [DeleteEdge(0, 1)], 6,
+                     id="coloring-delete-edge"),
+        pytest.param(COLORING, [SetVertexPotential(1, NO_ZERO)], 6,
+                     id="coloring-forbid-0"),
+        pytest.param(COLORING, [SetVertexPotential(0, NO_ZERO),
+                                AddEdge(0, 2, coloring_edge(4))], 6,
+                     id="coloring-forbid-0-add-edge"),
+        pytest.param(hardcore_instance(3, [(0, 1), (1, 2)], 1.2),
+                     [SetEdgePotential(0, 1, EdgePotential(((0.0, 0.0), (0.0, -1.0))))],
+                     12, id="hardcore-soft-edge"),
+    ])
+    def test_hard_constraint_flips(self, old, records, T):
+        assert updated_law_tv(old, UpdateBatch(records), T, self.REPS) < 0.05
 
 
 class TestDeterminism:
@@ -281,7 +298,10 @@ class TestChainPool:
     def test_infeasible_batch_leaves_pool_untouched(self):
         # A 3-colouring star whose centre gets a third neighbour: some
         # boundary then excludes every colour at the centre. The batch used to
-        # rewrite the chains whose replay got there first, then raise.
+        # rewrite the chains whose replay got there first, then raise. The
+        # last batch ends feasible, but forcing vertex 1 to colour 0 while
+        # its edge to the centre is still there leaves the potential phase no
+        # law to replay to.
         inst = coloring_instance(4, [(0, 1), (0, 2)], 3)
         cs = new_chain_set(inst, params(60, seed=7), self.schedule(40))
 
@@ -295,6 +315,8 @@ class TestChainPool:
             UpdateBatch([AddEdge(0, 3, coloring_edge(3))]),
             UpdateBatch([AddVertex(9, coloring_vertex(3)),
                          AddEdge(0, 9, coloring_edge(3))]),
+            UpdateBatch([SetVertexPotential(1, VertexPotential((0.0, NEG_INF, NEG_INF))),
+                         DeleteEdge(0, 1)]),
         ):
             with pytest.raises(InfeasibleInstance):
                 apply_update_multi(cs, batch)
@@ -329,20 +351,30 @@ def _ring_plus_matching(n):
     return ring + [(i, i + h) for i in range(h)]
 
 
-def _update_call_count(n):
-    """Python call events of one fixed batch plus the feasibility check
-    that follows it, on a ring plus a matching with T = 3n and 4 chains."""
+def _update_call_counts(n):
+    """Python call events and replay visits of each of two fixed batches,
+    each with the feasibility check that follows it, on one pool over a ring
+    plus a matching with T = 3n and 4 chains. The second batch flips weights
+    to -inf: a vertex potential, which moves that vertex's start, and one
+    entry of an edge potential."""
     h = n // 2
     inst = ising_instance(n, _ring_plus_matching(n), 0.1)
     validate_feasibility(inst)  # as `dyngibbs run` does on loading
     sched = ScheduleFns(n_samples=PowerLogFn(4.0, 0.0, 0.0),
                         eps=PowerLogFn(0.1, 0.0, 0.0))
     cs = new_chain_set(inst, params(3 * n, seed=5, delta=1.0), sched)
-    batch = UpdateBatch(
-        [SetVertexPotential(v, ising_vertex(0.05)) for v in (5, 17, 101, 333)]
-        + [SetEdgePotential(7, 8, ising_edge(0.12)),
-           DeleteEdge(10, 10 + h), DeleteEdge(20, 20 + h),
-           AddEdge(10, 20 + h, ising_edge(0.1)), AddEdge(20, 10 + h, ising_edge(0.1))])
+    batches = [
+        UpdateBatch(
+            [SetVertexPotential(v, ising_vertex(0.05)) for v in (5, 17, 101, 333)]
+            + [SetEdgePotential(7, 8, ising_edge(0.12)),
+               DeleteEdge(10, 10 + h), DeleteEdge(20, 20 + h),
+               AddEdge(10, 20 + h, ising_edge(0.1)),
+               AddEdge(20, 10 + h, ising_edge(0.1))]),
+        UpdateBatch([
+            SetVertexPotential(200, VertexPotential((NEG_INF, 0.0))),
+            SetEdgePotential(50, 51, EdgePotential(((0.1, -0.1), (-0.1, NEG_INF)))),
+        ]),
+    ]
     calls = 0
 
     def count(frame, event, arg):
@@ -350,24 +382,28 @@ def _update_call_count(n):
         if event == "call":
             calls += 1
 
-    sys.setprofile(count)
-    try:
-        _, metrics = apply_update_multi(cs, batch)
-        validate_feasibility(cs.inst)
-    finally:
-        sys.setprofile(None)
-    return calls, sum(m.r_ham + m.r_graph for m in metrics)
+    out = []
+    for batch in batches:
+        calls = 0
+        sys.setprofile(count)
+        try:
+            _, metrics = apply_update_multi(cs, batch)
+            validate_feasibility(cs.inst)
+        finally:
+            sys.setprofile(None)
+        out.append((calls, sum(m.r_ham + m.r_graph for m in metrics)))
+    return out
 
 
 def test_update_cost_follows_footprint_not_n():
     # T/n is fixed, so the expected visits are the same at both sizes; the
     # Python work of planning, checking and replaying must not grow with n.
-    small, small_visits = _update_call_count(1_000)
-    large, large_visits = _update_call_count(10_000)
-    assert small_visits > 0 and large_visits > 0
-    assert large < 2 * small, (
-        f"{large} calls at n=10^4 vs {small} at n=10^3 "
-        f"({large_visits} vs {small_visits} visits)")
+    for k, ((small, small_visits), (large, large_visits)) in enumerate(
+            zip(_update_call_counts(1_000), _update_call_counts(10_000))):
+        assert small_visits > 0 and large_visits > 0
+        assert large < 2 * small, (
+            f"batch {k}: {large} calls at n=10^4 vs {small} at n=10^3 "
+            f"({large_visits} vs {small_visits} visits)")
 
 
 def _edit_batches(n, count, rng):
