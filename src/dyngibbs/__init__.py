@@ -75,8 +75,6 @@ from .updater import (
     execute_update,
     new_chain_set,
     plan_update,
-    update_edge,
-    update_hamiltonian,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

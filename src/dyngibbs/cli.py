@@ -110,6 +110,8 @@ def parse_instance(path) -> MrfInstance:
         raise ParseError("q must be an integer >= 2", field="q")
     vertices = {}
     for rec in doc.get("vertices", ()):
+        if not isinstance(rec, dict):
+            raise ParseError("vertex record must be a JSON object", field="vertices")
         v = rec.get("id")
         if not isinstance(v, int):
             raise ParseError("vertex id must be an integer", field="vertices.id")
@@ -123,6 +125,8 @@ def parse_instance(path) -> MrfInstance:
         )
     edges = {}
     for rec in doc.get("edges", ()):
+        if not isinstance(rec, dict):
+            raise ParseError("edge record must be a JSON object", field="edges")
         u, v = rec.get("u"), rec.get("v")
         if not isinstance(u, int) or not isinstance(v, int):
             raise ParseError("edge endpoints must be integers", field="edges")
@@ -181,6 +185,8 @@ def serialize_instance(inst: MrfInstance) -> dict:
 # ---------------------------------------------------------------------------
 
 def _parse_op(rec: dict, line: int):
+    if not isinstance(rec, dict):
+        raise ParseError("op must be a JSON object", line=line)
     op = rec.get("op")
     try:
         if op == "set_vertex_phi":
@@ -213,6 +219,8 @@ def _parse_op(rec: dict, line: int):
             return DeleteEdge(rec["u"], rec["v"])
     except KeyError as e:
         raise ParseError(f"op {op!r} missing field {e}", line=line) from None
+    except TypeError as e:
+        raise ParseError(f"op {op!r}: {e}", line=line) from None
     except ValueError as e:
         raise ParseError(str(e), line=line) from None
     raise ParseError(f"unknown op {op!r}", line=line)
@@ -228,7 +236,7 @@ def parse_update_stream(path) -> list[UpdateBatch]:
             rec = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from None
-        ops = rec.get("ops")
+        ops = rec.get("ops") if isinstance(rec, dict) else None
         if not isinstance(ops, list):
             raise ParseError("batch line needs an \"ops\" array", line=lineno)
         batches.append(UpdateBatch(_parse_op(o, lineno) for o in ops))
@@ -244,6 +252,8 @@ def parse_queries(path) -> list[tuple[str, Query]]:
         raise ParseError("queries document must be a JSON array")
     out = []
     for i, rec in enumerate(docs):
+        if not isinstance(rec, dict):
+            raise ParseError(f"query {i} must be a JSON object")
         qid = rec.get("id", f"q{i}")
         try:
             query = Query(
@@ -253,7 +263,7 @@ def parse_queries(path) -> list[tuple[str, Query]]:
                 tuple(rec["tau_b"]) if "tau_b" in rec else None,
                 cap=rec.get("cap", 3),
             )
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ParseError(f"query {qid}: {e}") from None
         out.append((str(qid), query))
     return out

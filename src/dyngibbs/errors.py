@@ -19,10 +19,6 @@ class MissingBoundary(DynGibbsError):
     """A neighbor of the queried vertex has no assigned spin."""
 
 
-class DomainMismatch(DynGibbsError):
-    """Two instances with different spin-domain sizes were combined."""
-
-
 class DegreeTooLarge(DynGibbsError):
     """An exact enumeration guard was exceeded."""
 
@@ -62,19 +58,7 @@ class RankOutOfRange(DynGibbsError):
 # -- dynamic updater ---------------------------------------------------------
 
 class GraphMismatch(DynGibbsError):
-    """Hamiltonian update requires identical vertex and edge sets."""
-
-
-class VertexSetMismatch(DynGibbsError):
-    """Edge update requires identical vertex sets."""
-
-
-class SharedPotentialMismatch(DynGibbsError):
-    """Edge update requires shared potentials to be unchanged."""
-
-
-class NotIsolated(DynGibbsError):
-    """Vertex add/delete requires the touched vertices to be isolated."""
+    """A log's vertex set differs from the instance it is fixed against."""
 
 
 # -- inference ---------------------------------------------------------------

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DegreeTooLarge,
-    DomainMismatch,
     InfeasibleInstance,
     InfeasibleNeighborhood,
     InvalidBatch,
@@ -194,8 +193,8 @@ class MrfInstance:
     the same object, the others are copied at C level, and only the vertices
     and edges the batch names are validated and have their adjacency
     re-sorted. The child remembers which items its batch named, but keeps no
-    reference to its parent; ``instance_delta`` uses that record to compare a
-    parent with its child in O(|batch|), and ``validate_feasibility`` to
+    reference to its parent; ``instance_delta`` reads that record to compare a
+    parent with its child in O(1), and ``validate_feasibility`` to
     re-check only the touched vertices.
     """
 
@@ -579,36 +578,19 @@ def _l1_matrix(a, b) -> float:
     return total
 
 
-def _map_delta(a: Mapping, b: Mapping) -> set:
-    if a is b:
-        return set()
-    out = set(a.keys() ^ b.keys())
-    for k in a.keys() & b.keys():
-        if a[k] != b[k]:
-            out.add(k)
-    return out
-
-
 def instance_delta(
     before: MrfInstance, after: MrfInstance
 ) -> tuple[frozenset, frozenset]:
-    """Vertex ids and edge keys outside which the two instances agree, on
-    presence and on potential.
-
-    When `after` was derived from `before` by one ``apply_batch``, these are
-    the items the batch named, found in O(1); they may include items that
-    came back to their old state. Any other pair gets the exact difference
-    from a full comparison, O(n + m).
+    """The vertex ids and edge keys named by the batch that derived `after`
+    from `before`, in O(1): outside them the two instances agree, on
+    presence and on potential. They may include items that came back to
+    their old state. `after` must be a child of `before` by one
+    ``apply_batch``.
     """
-    if before.q != after.q:
-        raise DomainMismatch(f"q={before.q} vs q={after.q}")
     origin = after._origin
-    if origin is not None and origin[0] is before._token:
-        return origin[1], origin[2]
-    return (
-        frozenset(_map_delta(before._vertices, after._vertices)),
-        frozenset(_map_delta(before._edges, after._edges)),
-    )
+    if origin is None or origin[0] is not before._token:
+        raise ValueError("instance_delta takes an instance and its own child")
+    return origin[1], origin[2]
 
 
 # ---------------------------------------------------------------------------

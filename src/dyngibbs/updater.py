@@ -25,16 +25,19 @@ flipped between finite and -inf is replayed like any other potential edit;
 no chain is ever regenerated.
 
 Cost model. An edit costs its footprint, not the size of the model. The plan
-is built once per batch from the batch's own records: O(|batch| * Δ) plus
-C-level copies of the instance maps a phase changes; every intermediate
-instance is derived from the one before it, so each phase's precondition
-check compares only the items the batch named. Each chain then costs
-O(visits): the replays take the instance's adjacency mapping by reference
-and do no work proportional to n or m. A vertex phase rewrites each log
-once, O(n + T) per chain: it builds the new columns and reloads them, with
-no inner rank edits (see execlog). The feasibility of the planned
-instance is decided before any chain is touched, from the answer carried
-forward from the current instance, in O(|touched|).
+resolves each phase once per batch, from the batch's own records, into a
+record every chain shares: its instance pair, derived from the one before
+it, the touched endpoints, the moved starts, the filter bounds or the vertex
+ids, and caches of the local views. That costs O(|batch| * Δ) plus C-level
+copies of the instance maps a phase changes, and a phase is valid by
+construction, so no chain re-checks it. The chains then only draw: a
+replay costs O(visits), takes the instance's adjacency mapping by
+reference, and builds each local view at most once per batch for the whole
+pool. A vertex phase rewrites each log once, O(n + T) per chain: it builds
+the new columns and reloads them, with no inner rank edits (see execlog).
+The feasibility of every phase's instance is decided before any chain is
+touched, from the answer carried forward from the current instance, in
+O(|touched|).
 """
 
 from __future__ import annotations
@@ -47,13 +50,7 @@ from typing import Mapping, Optional
 
 from .coupling import correction_kernel, maximal_couple_conditional, p_up
 from .engine import ChainParams, length_fix, mixing_length, run_chain
-from .errors import (
-    GraphMismatch,
-    InfeasibleInstance,
-    NotIsolated,
-    SharedPotentialMismatch,
-    VertexSetMismatch,
-)
+from .errors import InfeasibleInstance
 from .execlog import ExecutionLog
 from .inference import DiffEntry, SampleDiff, ScheduleFns
 from .mrf import (
@@ -85,24 +82,12 @@ from .rng import (
 # Correction filter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilterSet:
-    """Pre-sampled correction ranks plus the per-vertex probability bounds
-    they were thinned with."""
-
-    steps: tuple[int, ...]
-    pbar: Mapping[int, float]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 def build_filter(
     log: ExecutionLog, pbar: Mapping[int, float], rng
-) -> FilterSet:
+) -> tuple[int, ...]:
     """Mark each transition of vertex v independently with probability
-    pbar[v], by skip-sampling over its rank list. Vertices ascending, so the
-    draw order is reproducible."""
+    pbar[v], by skip-sampling over its rank list; returns the marked ranks,
+    ascending. Vertices ascending, so the draw order is reproducible."""
     steps: list[int] = []
     for v in sorted(pbar):
         p = pbar[v]
@@ -119,7 +104,7 @@ def build_filter(
                 break
             steps.append(rs[i])
     steps.sort()
-    return FilterSet(steps=tuple(steps), pbar=dict(pbar))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +125,10 @@ class _Replay:
     __slots__ = ("log", "adj", "extra", "d_x", "d_y", "heap", "frontier")
 
     def __init__(self, log: ExecutionLog, adj: Mapping[int, tuple[int, ...]],
-                 extra=()):
+                 extra: frozenset):
         self.log = log
         self.adj = adj
-        self.extra = frozenset(extra)
+        self.extra = extra
         self.d_x: dict[int, int] = {}
         self.d_y: dict[int, int] = {}
         self.heap: list[tuple[int, int]] = []
@@ -210,43 +195,33 @@ def _view(cache: dict, inst: MrfInstance, v: int) -> LocalView:
     return view
 
 
-def _replay(
-    old: MrfInstance,
-    new: MrfInstance,
-    log: ExecutionLog,
-    rng,
-    touched=frozenset(),
-    filt: Optional[FilterSet] = None,
-    starts=(),
-) -> int:
-    """Replay the log from old's law to new's, in place; returns the number
-    of ranks visited.
+def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps=()) -> int:
+    """Replay the log from phase.before's law to phase.after's, in place;
+    returns the number of ranks visited.
 
-    starts lists (v, y0) for the vertices whose start spin moves: Y0 gets
-    y0, and v enters the disagreement set at rank 0 holding X0's spin.
+    Each (v, y0) of phase.starts moves Y0's spin at v to y0, and v enters
+    the disagreement set at rank 0 holding X0's spin.
 
     A touched vertex is redrawn fresh from the new conditional under the Y
     boundary at each of its transitions (always one uniform: the product
     coupling). Any other vertex couples the recorded draw maximally with a
     draw from the old law under the Y boundary when the two boundaries
-    differ, and at a filter rank then draws a correction coin (always one
-    uniform) that decides whether Y is redrawn from the kernel mapping the
-    old conditional onto the new one.
+    differ, and at a filter rank (fsteps, ascending) then draws a
+    correction coin (always one uniform) that decides whether Y is redrawn
+    from the kernel mapping the old conditional onto the new one.
     """
+    old, new = phase.before, phase.after
+    old_views, new_views = phase.old_views, phase.new_views
+    touched, pbar = phase.touched, phase.pbar
     adj = old.adjacency()
-    rp = _Replay(log, adj, extra=touched)
-    for v, y0 in starts:
+    rp = _Replay(log, adj, touched)
+    for v, y0 in phase.starts:
         x0 = log.evaluate(0, v)
         log.set_initial(v, y0)
         rp.record(v, x0, y0)
-    touched = rp.extra
     d_x = rp.d_x
-    fsteps = filt.steps if filt is not None else ()
-    pbar = filt.pbar if filt is not None else {}
     nf = len(fsteps)
     fi = 0
-    old_views: dict[int, LocalView] = {}
-    new_views: dict[int, LocalView] = {}
     visits = 0
     rand = rng.random
     while True:
@@ -296,97 +271,42 @@ def _replay(
     return visits
 
 
-def update_hamiltonian(
-    old_inst: MrfInstance,
-    new_inst: MrfInstance,
-    log: ExecutionLog,
-    filt: FilterSet,
-    rng,
-) -> int:
-    """Replay the log from old_inst's law to new_inst's; same graph, changed
-    potentials. Returns the number of ranks visited.
+def update_hamiltonian(phase: _Phase, log: ExecutionLog, fsteps, rng) -> int:
+    """Replay the log across a potential phase (same graph, changed
+    potentials), with fsteps the filter ranks build_filter marked with
+    phase.pbar. Returns the number of ranks visited.
 
     At a visited rank the recorded draw is coupled maximally with a draw from
     the old law under the Y boundary; at a filter rank a correction coin
     (always one uniform) decides whether Y is redrawn from the kernel that
     maps the old conditional onto the new one. A weight flipped between
     finite and -inf gets p_up 1, so every transition of the vertices it
-    touches is a filter rank. Where a vertex potential's first allowed spin
-    moves, X0 moves with it.
+    touches is a filter rank. X0 moves at phase.starts.
     """
-    dv, de = instance_delta(old_inst, new_inst)
-    if _presence_changes(old_inst, new_inst, dv, de):
-        raise GraphMismatch("potential phase requires identical graphs")
-    starts = []
-    for v in sorted(dv):
-        y0 = start_spin(new_inst.vertex_potential(v).weights)
-        if y0 != start_spin(old_inst.vertex_potential(v).weights):
-            starts.append((v, y0))
-    return _replay(old_inst, new_inst, log, rng, filt=filt, starts=starts)
+    return _replay(phase, log, rng, fsteps)
 
 
-def update_edge(
-    old_inst: MrfInstance,
-    new_inst: MrfInstance,
-    log: ExecutionLog,
-    rng,
-) -> int:
-    """Replay the log across an edge-set change; same vertices and vertex
-    potentials, shared edges unchanged. Returns the number of ranks visited.
+def update_edge(phase: _Phase, log: ExecutionLog, rng) -> int:
+    """Replay the log across an edge phase (same vertices and potentials,
+    edges only deleted or only added). Returns the number of ranks visited.
 
-    Endpoints of changed edges are redrawn fresh from the new conditional at
-    every one of their transitions (always one uniform: the product
-    coupling). Other vertices only react to disagreement reaching their
-    boundary, through the maximal coupling of two old-law conditionals, which
-    is sound because no edge incident to them changed.
+    phase.touched, the endpoints of the changed edges, are redrawn fresh
+    from the new conditional at every one of their transitions (always one
+    uniform: the product coupling). Other vertices only react to
+    disagreement reaching their boundary, through the maximal coupling of
+    two old-law conditionals, which is sound because no edge incident to
+    them changed.
     """
-    dv, de = instance_delta(old_inst, new_inst)
-    if _presence_changes(old_inst, new_inst, dv, ()):
-        raise VertexSetMismatch("edge phase cannot change the vertex set")
-    _check_shared_potentials(old_inst, new_inst, dv, de)
-    touched = set()
-    for e in _presence_changes(old_inst, new_inst, (), de):
-        touched.update(e)
-    return _replay(old_inst, new_inst, log, rng, touched=touched)
+    return _replay(phase, log, rng)
 
 
 # ---------------------------------------------------------------------------
 # Vertex-set phases
 # ---------------------------------------------------------------------------
 
-def _presence_changes(before: MrfInstance, after: MrfInstance, dv, de) -> list:
-    """The vertices of dv, then the edges of de, present in exactly one of
-    the two instances; ascending."""
-    out = [v for v in sorted(dv) if before.has_vertex(v) != after.has_vertex(v)]
-    out += [e for e in sorted(de) if before.has_edge(*e) != after.has_edge(*e)]
-    return out
-
-
-def _check_shared_potentials(before: MrfInstance, after: MrfInstance, dv, de) -> None:
-    """Raise on the first item of dv, then de, present in both instances with
-    different potentials; ascending, as a full scan would meet them."""
-    for v in sorted(dv):
-        if before.has_vertex(v) and after.has_vertex(v):
-            if before.vertex_potential(v) != after.vertex_potential(v):
-                raise SharedPotentialMismatch(f"vertex {v} potential differs")
-    for e in sorted(de):
-        if before.has_edge(*e) and after.has_edge(*e):
-            if before.edge_potential(*e) != after.edge_potential(*e):
-                raise SharedPotentialMismatch(f"edge {e} potential differs")
-
-
-def _check_vertex_phase(before: MrfInstance, after: MrfInstance, dv, de) -> None:
-    # Shared vertex potentials, then the edge set, then shared edge potentials.
-    _check_shared_potentials(before, after, dv, ())
-    if _presence_changes(before, after, (), de):
-        raise GraphMismatch("edge set must not change in a vertex phase")
-    _check_shared_potentials(before, after, (), de)
-
-
-def add_vertices(
-    before: MrfInstance, after: MrfInstance, log: ExecutionLog, rng
-) -> None:
-    """Splice isolated new vertices into the log without changing its length.
+def add_vertices(phase: _Phase, log: ExecutionLog, rng) -> None:
+    """Splice phase.vertices, added isolated, into the log without changing
+    its length.
 
     The sites going to new vertices are chosen Bernoulli(s / (s + n)) per
     rank; the tail of the old run is dropped to make room, then each chosen
@@ -394,20 +314,10 @@ def add_vertices(
     result is distributed as a fresh run of the enlarged instance. The log
     is rewritten once: new columns from the kept prefix, one reload.
     """
-    dv, de = instance_delta(before, after)
-    changed = _presence_changes(before, after, dv, ())
-    if any(before.has_vertex(v) for v in changed):
-        raise GraphMismatch("additions only: vertices missing from the target")
-    added = changed
-    for a in added:
-        if after.degree(a):
-            raise NotIsolated(f"vertex {a} must be added isolated")
-    _check_vertex_phase(before, after, dv, de)
-    if not added:
-        return
+    added, after = phase.vertices, phase.after
     T = log.length
     s = len(added)
-    p = s / (s + before.n)
+    p = s / (s + phase.before.n)
     marks: list[int] = []
     pos = 0
     while True:
@@ -434,23 +344,11 @@ def add_vertices(
     log.load_run(initial, verts, spins)
 
 
-def delete_vertices(
-    before: MrfInstance, after: MrfInstance, log: ExecutionLog, rng
-) -> None:
-    """Remove isolated vertices and every transition touching them, then
-    extend the tail back to the original length under the shrunk instance.
-    The log is rewritten once: filtered columns, one reload."""
-    dv, de = instance_delta(before, after)
-    changed = _presence_changes(before, after, dv, ())
-    if any(after.has_vertex(v) for v in changed):
-        raise GraphMismatch("deletions only: unexpected new vertices")
-    removed = changed
-    for v in removed:
-        if before.degree(v):
-            raise NotIsolated(f"vertex {v} must be isolated before deletion")
-    _check_vertex_phase(before, after, dv, de)
-    if not removed:
-        return
+def delete_vertices(phase: _Phase, log: ExecutionLog, rng) -> None:
+    """Remove phase.vertices, isolated, and every transition touching them,
+    then extend the tail back to the original length under the shrunk
+    instance. The log is rewritten once: filtered columns, one reload."""
+    removed = phase.vertices
     T = log.length
     initial = log.initial_config()
     for v in removed:
@@ -459,7 +357,7 @@ def delete_vertices(
     for r in sorted((r for v in removed for r in log.steps_of(v)), reverse=True):
         del verts[r - 1], spins[r - 1]
     log.load_run(initial, verts, spins)
-    length_fix(after, log, T, rng)
+    length_fix(phase.after, log, T, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -480,25 +378,51 @@ class UpdateMetrics:
 
 
 @dataclass(frozen=True)
+class _Phase:
+    """One planned phase: its instance pair and everything about it that is
+    the same for every chain, so a chain's phase only draws.
+
+    touched: the endpoints of the changed edges (edge phases).
+    starts: (v, y0) for each vertex whose first allowed spin moves,
+        ascending (potential phase).
+    pbar: the filter bounds (potential phase).
+    vertices: the ids added or removed, ascending (vertex phases).
+    old_views, new_views: local views of before and after, filled lazily
+        and shared by every chain's replay. One dict serves each instance,
+        so a phase's new_views is the next phase's old_views.
+    """
+
+    name: str
+    before: MrfInstance
+    after: MrfInstance
+    touched: frozenset = frozenset()
+    starts: tuple = ()
+    pbar: Mapping[int, float] = field(default_factory=dict)
+    vertices: tuple = ()
+    old_views: dict = field(default_factory=dict)
+    new_views: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class _UpdatePlan:
-    # Instance pipeline shared by every chain; drawing stays per chain.
+    # Everything chain-independent about a batch; drawing stays per chain.
     final: MrfInstance
     target: int
-    pbar: Mapping[int, float]
-    phases: tuple  # (name, before_inst, after_inst) triples, in order
+    phases: tuple[_Phase, ...]
 
 
 def plan_update(
     inst: MrfInstance, batch: UpdateBatch, params: ChainParams
 ) -> _UpdatePlan:
-    """Resolve the batch into the phase pipeline; no randomness involved, so
-    one plan serves every chain.
+    """Resolve the batch into its phases; no randomness involved, so one plan
+    serves every chain.
 
     Everything is read off the batch's own records: the net change of each
     named vertex and edge gives the potential records and the phase lists,
-    and every intermediate instance is derived from the one before it, so
+    and every intermediate instance is derived from the one before it. So
     the plan costs O(|batch| * Δ) plus C-level copies of the maps each phase
-    changes, and each phase's precondition check costs O(|batch|).
+    changes, and each phase is valid by construction: no chain re-checks it.
+    A vertex potential that excludes every spin raises InfeasibleInstance.
     """
     final = inst.apply_batch(batch)
     target = mixing_length(final.n, params)
@@ -525,55 +449,76 @@ def plan_update(
             adds.append((u, w))
         elif was:
             dels.append((u, w))
-    mid = inst.apply_batch(UpdateBatch(recs)) if recs else inst
     phases = []
-    pbar: dict[int, float] = {}
+    cur, views = inst, {}
     if recs:
+        mid, mid_views = inst.apply_batch(UpdateBatch(recs)), {}
         affected = set()
+        starts = []
         for r in recs:
             if isinstance(r, SetVertexPotential):
-                affected.add(r.vertex)
+                v = r.vertex
+                affected.add(v)
+                try:
+                    y0 = start_spin(r.potential.weights)
+                    moved = y0 != start_spin(inst.vertex_potential(v).weights)
+                except InfeasibleInstance:
+                    raise InfeasibleInstance(f"vertex {v}: every spin excluded") from None
+                if moved:
+                    starts.append((v, y0))
             else:
                 affected.add(r.u)
                 affected.add(r.v)
+        pbar: dict[int, float] = {}
         for v in sorted(affected):
-            pv = p_up(local_restriction(inst, v), local_restriction(mid, v))
+            pv = p_up(_view(views, inst, v), _view(mid_views, mid, v))
             if pv > 0.0:
                 pbar[v] = pv
-        phases.append(("potentials", inst, mid))
-    cur = mid
-    steps = (
-        ("add_vertices", [AddVertex(a, final.vertex_potential(a)) for a in added]),
-        ("delete_edges", [DeleteEdge(u, w) for u, w in dels]),
-        ("add_edges", [AddEdge(u, w, final.edge_potential(u, w)) for u, w in adds]),
-        ("delete_vertices", [DeleteVertex(v) for v in doomed]),
-    )
-    for name, records in steps:
+        phases.append(_Phase("potentials", inst, mid, starts=tuple(starts),
+                             pbar=pbar, old_views=views, new_views=mid_views))
+        cur, views = mid, mid_views
+    for name, records, derived in (
+        ("add_vertices", [AddVertex(a, final.vertex_potential(a)) for a in added],
+         {"vertices": tuple(added)}),
+        ("delete_edges", [DeleteEdge(u, w) for u, w in dels],
+         {"touched": frozenset(x for e in dels for x in e)}),
+        ("add_edges", [AddEdge(u, w, final.edge_potential(u, w)) for u, w in adds],
+         {"touched": frozenset(x for e in adds for x in e)}),
+        ("delete_vertices", [DeleteVertex(v) for v in doomed],
+         {"vertices": tuple(doomed)}),
+    ):
         if records:
-            nxt = cur.apply_batch(UpdateBatch(records))
-            phases.append((name, cur, nxt))
-            cur = nxt
+            nxt, nxt_views = cur.apply_batch(UpdateBatch(records)), {}
+            phases.append(_Phase(name, cur, nxt, old_views=views,
+                                 new_views=nxt_views, **derived))
+            cur, views = nxt, nxt_views
     # cur equals final by value; it is the instance the last phase updates
     # the logs to, so it becomes the pool's instance.
-    return _UpdatePlan(cur if phases else final, target, pbar, tuple(phases))
+    return _UpdatePlan(cur if phases else final, target, tuple(phases))
 
 
 def execute_update(plan: _UpdatePlan, log: ExecutionLog, rng) -> UpdateMetrics:
-    """Run the planned phases against one chain's log, in place."""
+    """Run the planned phases against one chain's log, in place.
+
+    The phase functions are called through this module's globals, so a
+    wrapper set on them sees every phase: perfbench/tracing.py does that to
+    split the per-phase times.
+    """
     t0 = time.perf_counter()
     m = UpdateMetrics()
-    for name, before, after in plan.phases:
+    for phase in plan.phases:
         p0 = time.perf_counter()
+        name = phase.name
         if name == "potentials":
-            filt = build_filter(log, plan.pbar, rng)
-            m.filter_size = len(filt)
-            m.r_ham = update_hamiltonian(before, after, log, filt, rng)
+            fsteps = build_filter(log, phase.pbar, rng)
+            m.filter_size = len(fsteps)
+            m.r_ham = update_hamiltonian(phase, log, fsteps, rng)
         elif name == "add_vertices":
-            add_vertices(before, after, log, rng)
-        elif name in ("delete_edges", "add_edges"):
-            m.r_graph += update_edge(before, after, log, rng)
+            add_vertices(phase, log, rng)
+        elif name == "delete_vertices":
+            delete_vertices(phase, log, rng)
         else:
-            delete_vertices(before, after, log, rng)
+            m.r_graph += update_edge(phase, log, rng)
         m.phase_wall[name] = time.perf_counter() - p0
     if log.length != plan.target:
         length_fix(plan.final, log, plan.target, rng)
@@ -670,7 +615,8 @@ def apply_update_multi(
     Chains are updated one after another in chain order.
     """
     plan = plan_update(cs.inst, batch, cs.params)
-    for name, _, after in plan.phases or (("batch", cs.inst, plan.final),):
+    checks = [(ph.name, ph.after) for ph in plan.phases] or [("batch", plan.final)]
+    for name, after in checks:
         rep = validate_feasibility(after)
         if not rep.ok:
             raise InfeasibleInstance(

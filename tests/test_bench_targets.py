@@ -4,7 +4,10 @@ The benchmark's tracer (perfbench/tracing.py) patches the names in its
 TARGETS table; a name that is missing there only drops its per-layer metrics
 at run time. The first test turns a rename or deletion into a failure here.
 The smoke tests run a short traced benchmark per workload and check its last
-line of standard output, which is what the benchmark's consumers parse.
+line of standard output, which is what the benchmark's consumers parse. Each
+also checks that the layers its traced batches exercise read above zero, so
+a refactor that calls around a traced name fails here instead of zeroing its
+metrics.
 """
 
 import importlib
@@ -44,6 +47,16 @@ def _reject(token):
     raise ValueError(f"non-finite number {token} in the result line")
 
 
+# The layers each workload's traced batches reach: edit-n10k's include a
+# matching rewire, churn-hardcore's a vertex add and a vertex delete.
+SEEN = {
+    "edit-n10k": ("updater.plan_ms", "updater.filter_ms", "updater.potentials_ms",
+                  "updater.edges_ms", "mrf.local_restriction_calls"),
+    "churn-hardcore": ("updater.add_vertices_ms", "updater.delete_vertices_ms",
+                       "updater.edges_ms", "updater.resize_ms"),
+}
+
+
 @pytest.mark.parametrize("workload, seconds", [("edit-n10k", 2), ("churn-hardcore", 6)])
 def test_traced_run_ends_in_a_result(workload, seconds):
     proc = subprocess.run(
@@ -56,3 +69,5 @@ def test_traced_run_ends_in_a_result(workload, seconds):
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+    for name in SEEN[workload]:
+        assert result["metrics"][name]["value"] > 0, name

@@ -146,8 +146,21 @@ class TestExitCodes:
         assert e.value.code == 1
 
     def test_parse(self, workdir):
-        (workdir / "inst.json").write_text("{broken")
-        assert cli.main(run_args(workdir)) == 2
+        # Invalid JSON, then valid JSON of the wrong shape: a vertex record,
+        # an op, an op's phi and a query that are numbers.
+        originals = {"inst.json": json.dumps(INSTANCE), "updates.jsonl": UPDATES,
+                     "queries.json": json.dumps(QUERIES)}
+        cases = [
+            ("inst.json", "{broken"),
+            ("inst.json", json.dumps(dict(INSTANCE, vertices=[7]))),
+            ("updates.jsonl", '{"ops":[7]}\n'),
+            ("updates.jsonl", '{"ops":[{"op":"set_vertex_phi","v":1,"phi":7}]}\n'),
+            ("queries.json", json.dumps(QUERIES + [7])),
+        ]
+        for name, text in cases:
+            (workdir / name).write_text(text)
+            assert cli.main(run_args(workdir)) == 2, text
+            (workdir / name).write_text(originals[name])
 
     def test_invalid_batch(self, workdir):
         (workdir / "updates.jsonl").write_text('{"ops":[{"op":"del_vertex","v":1}]}\n')

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dyngibbs.coupling import p_up
 from dyngibbs.engine import ChainParams, mixing_length
-from dyngibbs.errors import DegreeTooLarge, InvalidBatch
+from dyngibbs.errors import DegreeTooLarge, InfeasibleInstance, InvalidBatch
 from dyngibbs.mrf import (
     NEG_INF,
     AddEdge,
@@ -30,6 +30,7 @@ from dyngibbs.mrf import (
     VertexPotential,
     edge_key,
     local_restriction,
+    start_spin,
     validate_feasibility,
 )
 from dyngibbs.updater import plan_update
@@ -106,8 +107,9 @@ def _support(view):
 
 
 def reference_plan(inst: MrfInstance, batch, params):
-    """(final, target, pbar, phases) by whole-set comparison. A weight
-    flipped between finite and -inf gives its vertices pbar 1."""
+    """(final, target, phases) by whole-set comparison, each phase as
+    (name, before, after, touched, starts, pbar, vertices). A weight flipped
+    between finite and -inf gives its vertices pbar 1."""
     final = reference_apply(inst, batch)
     target = mixing_length(final.n, params)
     recs = []
@@ -118,33 +120,43 @@ def reference_plan(inst: MrfInstance, batch, params):
         if final.has_edge(u, w) and final.edge_potential(u, w) != inst.edge_potential(u, w):
             recs.append(SetEdgePotential(u, w, final.edge_potential(u, w)))
     mid = reference_apply(inst, recs) if recs else inst
-    phases, pbar = [], {}
+    phases = []
     if recs:
         affected = set()
         for r in recs:
             affected.update((r.vertex,) if isinstance(r, SetVertexPotential) else (r.u, r.v))
+        pbar = {}
         for v in sorted(affected):
             a, b = local_restriction(inst, v), local_restriction(mid, v)
             pv = 1.0 if _support(a) != _support(b) else p_up(a, b)
             if pv > 0.0:
                 pbar[v] = pv
-        phases.append(("potentials", inst, mid))
+        starts = []
+        for v in inst.vertex_ids():
+            if mid.vertex_potential(v) != inst.vertex_potential(v):
+                y0 = start_spin(mid.vertex_potential(v).weights)
+                if y0 != start_spin(inst.vertex_potential(v).weights):
+                    starts.append((v, y0))
+        phases.append(("potentials", inst, mid, frozenset(), tuple(starts), pbar, ()))
     cur = mid
     v_old, v_new = set(inst.vertex_ids()), set(final.vertex_ids())
     e_old, e_new = set(inst.edge_keys()), set(final.edge_keys())
-    for name, records in (
-        ("add_vertices",
-         [AddVertex(a, final.vertex_potential(a)) for a in sorted(v_new - v_old)]),
-        ("delete_edges", [DeleteEdge(u, w) for u, w in sorted(e_old - e_new)]),
-        ("add_edges",
-         [AddEdge(u, w, final.edge_potential(u, w)) for u, w in sorted(e_new - e_old)]),
-        ("delete_vertices", [DeleteVertex(v) for v in sorted(v_old - v_new)]),
+    born, dead = sorted(v_new - v_old), sorted(v_old - v_new)
+    cut, made = sorted(e_old - e_new), sorted(e_new - e_old)
+    for name, records, touched, vertices in (
+        ("add_vertices", [AddVertex(a, final.vertex_potential(a)) for a in born],
+         (), born),
+        ("delete_edges", [DeleteEdge(u, w) for u, w in cut], cut, ()),
+        ("add_edges", [AddEdge(u, w, final.edge_potential(u, w)) for u, w in made],
+         made, ()),
+        ("delete_vertices", [DeleteVertex(v) for v in dead], (), dead),
     ):
         if records:
             nxt = reference_apply(cur, records)
-            phases.append((name, cur, nxt))
+            ends = frozenset(x for e in touched for x in e)
+            phases.append((name, cur, nxt, ends, (), {}, tuple(vertices)))
             cur = nxt
-    return final, target, pbar, tuple(phases)
+    return final, target, tuple(phases)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +190,9 @@ def instances(draw):
 
 @st.composite
 def batches(draw, inst: MrfInstance):
-    """Mostly valid records against inst, sometimes invalid ones."""
+    """Mostly valid records against inst, sometimes invalid ones. Half the
+    potential edits and edge additions name present vertices, so enough
+    batches are valid to reach every phase."""
     q = inst.q
     present = set(inst.vertex_ids())
     edges = set(inst.edge_keys())
@@ -189,6 +203,8 @@ def batches(draw, inst: MrfInstance):
         v = draw(st.sampled_from(IDS))
         u = draw(st.sampled_from(IDS))
         if kind == "set_v":
+            if present and draw(st.booleans()):
+                v = draw(st.sampled_from(sorted(present)))
             recs.append(SetVertexPotential(v, draw(vertex_potentials(q))))
         elif kind == "add_v":
             recs.append(AddVertex(v, draw(vertex_potentials(q))))
@@ -201,6 +217,9 @@ def batches(draw, inst: MrfInstance):
             recs.append(DeleteVertex(v))
             present.discard(v)
         elif kind == "add_e":
+            if len(present) > 1 and draw(st.booleans()):
+                u, v = draw(st.lists(st.sampled_from(sorted(present)),
+                                     min_size=2, max_size=2, unique=True))
             recs.append(AddEdge(u, v, draw(edge_potentials(q))))
             edges.add(edge_key(u, v))
         elif kind == "del_e" and edges:
@@ -296,16 +315,17 @@ def test_plan_equals_full_scan_plan(data):
         batch = data.draw(batches(inst))
         try:
             want = reference_plan(inst, batch, params)
-        except InvalidBatch:
-            with pytest.raises(InvalidBatch):
+        except (InvalidBatch, InfeasibleInstance) as e:
+            # A vertex potential that excludes every spin has no start.
+            with pytest.raises(type(e)):
                 plan_update(inst, batch, params)
             continue
         plan = plan_update(inst, batch, params)
-        final, target, pbar, phases = want
+        final, target, phases = want
         assert plan.final == final
         assert plan.target == target
-        assert plan.pbar == pbar
-        assert [p[0] for p in plan.phases] == [p[0] for p in phases]
-        for (_, b, a), (_, wb, wa) in zip(plan.phases, phases):
-            assert b == wb and a == wa
+        assert tuple(
+            (p.name, p.before, p.after, p.touched, p.starts, p.pbar, p.vertices)
+            for p in plan.phases
+        ) == phases
         inst = plan.final

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dyngibbs import updater
+from dyngibbs.engine import ChainParams
 from dyngibbs.errors import RankOutOfRange, UnknownVertex
 from dyngibbs.execlog import ExecutionLog
 from dyngibbs.models import ising_instance, ising_vertex
@@ -206,9 +207,12 @@ class TestInnerRankEdits:
             return twin
 
         base = ising_instance(4, [(0, 2), (2, 3)], 0.2)
-        grown = base.apply_batch(UpdateBatch(
-            [AddVertex(a, ising_vertex(0.1)) for a in (4, 5)]))
-        updater.add_vertices(base, grown, log, draws)
+        params = ChainParams(delta=0.5, eps_fn=lambda n: 0.1, seed=0,
+                             length_override=200)
+        (grow,) = updater.plan_update(base, UpdateBatch(
+            [AddVertex(a, ising_vertex(0.1)) for a in (4, 5)]), params).phases
+        assert (grow.name, grow.vertices) == ("add_vertices", (4, 5))
+        updater.add_vertices(grow, log, draws)
         twin = twin_of(log)
         assert_agrees(log, twin)
         kept = [(v, c) for v, c in zip(twin.verts, twin.spins) if v < 4]
@@ -217,10 +221,12 @@ class TestInnerRankEdits:
         assert {v: twin.initial[v] for v in range(4)} == initial
 
         doomed = (1, 4)
-        shrunk = grown.apply_batch(UpdateBatch([DeleteVertex(v) for v in doomed]))
+        (shrink,) = updater.plan_update(grow.after, UpdateBatch(
+            [DeleteVertex(v) for v in doomed]), params).phases
+        assert (shrink.name, shrink.vertices) == ("delete_vertices", doomed)
         survivors = [(v, c) for v, c in zip(twin.verts, twin.spins)
                      if v not in doomed]
-        updater.delete_vertices(grown, shrunk, log, draws)
+        updater.delete_vertices(shrink, log, draws)
         twin = twin_of(log)
         assert_agrees(log, twin)
         assert list(zip(twin.verts, twin.spins))[:len(survivors)] == survivors

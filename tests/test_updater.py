@@ -1,5 +1,5 @@
 """Reconciliation pipeline: law preservation against exact step laws,
-work accounting, validation, and the chain pool."""
+work accounting, and the chain pool."""
 
 import hashlib
 import math
@@ -9,15 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from dyngibbs import updater
 from dyngibbs.engine import ChainParams, run_chain
-from dyngibbs.errors import (
-    DegreeTooLarge,
-    GraphMismatch,
-    InfeasibleInstance,
-    NotIsolated,
-    SharedPotentialMismatch,
-    VertexSetMismatch,
-)
+from dyngibbs.errors import DegreeTooLarge, InfeasibleInstance
 from dyngibbs.inference import PowerLogFn, ScheduleFns, sample_diff
 from dyngibbs.models import (
     coloring_edge,
@@ -47,15 +41,12 @@ from dyngibbs.mrf import (
 )
 from dyngibbs.rng import make_stream, update_stream
 from dyngibbs.updater import (
-    add_vertices,
     apply_update,
     apply_update_multi,
     build_filter,
     execute_update,
     new_chain_set,
     plan_update,
-    update_edge,
-    update_hamiltonian,
 )
 from helpers import exact_final_law
 from dyngibbs.oracle import encode_config
@@ -156,43 +147,6 @@ class TestDeterminism:
         assert finals[0] == finals[1]
 
 
-class TestValidation:
-    def test_hamiltonian_step_rejects_graph_changes(self):
-        a = ising_instance(3, [(0, 1)], 0.2)
-        b = a.apply_batch(UpdateBatch([AddEdge(1, 2, EdgePotential(((0.2, -0.2), (-0.2, 0.2))))]))
-        log = run_chain(a, params(50), stream=0)
-        filt = build_filter(log, {}, make_stream(0, 1))
-        with pytest.raises(GraphMismatch):
-            update_hamiltonian(a, b, log, filt, make_stream(0, 2))
-
-    def test_edge_step_rejects_vertex_changes(self):
-        a = ising_instance(3, [(0, 1)], 0.2)
-        b = ising_instance(4, [(0, 1)], 0.2)
-        log = run_chain(a, params(50), stream=0)
-        with pytest.raises(VertexSetMismatch):
-            update_edge(a, b, log, make_stream(0, 2))
-
-    def test_edge_step_rejects_potential_changes(self):
-        a = ising_instance(3, [(0, 1), (1, 2)], 0.2)
-        b = a.apply_batch(UpdateBatch([
-            DeleteEdge(1, 2),
-            SetVertexPotential(0, VertexPotential((0.4, -0.4))),
-        ]))
-        log = run_chain(a, params(50), stream=0)
-        with pytest.raises(SharedPotentialMismatch):
-            update_edge(a, b, log, make_stream(0, 2))
-
-    def test_vertex_splice_requires_isolation(self):
-        a = ising_instance(3, [(0, 1)], 0.2)
-        b = a.apply_batch(UpdateBatch([
-            AddVertex(9, VertexPotential((0.0, 0.0))),
-            AddEdge(9, 0, EdgePotential(((0.2, -0.2), (-0.2, 0.2)))),
-        ]))
-        log = run_chain(a, params(50), stream=0)
-        with pytest.raises(NotIsolated):
-            add_vertices(a, b, log, make_stream(0, 2))
-
-
 class TestWorkAccounting:
     def test_localized_change_touches_few_steps(self):
         n, T = 40, 4000
@@ -219,8 +173,7 @@ class TestWorkAccounting:
     def test_filter_marks_only_changed_vertices(self):
         old = ising_instance(6, [(i, i + 1) for i in range(5)], 0.2)
         log = run_chain(old, params(600, seed=5), stream=0)
-        filt = build_filter(log, {2: 0.5}, make_stream(5, 77))
-        marks = set(filt.steps)
+        marks = set(build_filter(log, {2: 0.5}, make_stream(5, 77)))
         assert marks <= set(log.steps_of(2))
         # roughly half of vertex 2's steps, binomial slack
         occ = len(log.steps_of(2))
@@ -352,11 +305,11 @@ def _ring_plus_matching(n):
 
 
 def _update_call_counts(n):
-    """Python call events and replay visits of each of two fixed batches,
-    each with the feasibility check that follows it, on one pool over a ring
-    plus a matching with T = 3n and 4 chains. The second batch flips weights
-    to -inf: a vertex potential, which moves that vertex's start, and one
-    entry of an edge potential."""
+    """Python call events, line events and replay visits of each of two
+    fixed batches, each with the feasibility check that follows it, on one
+    pool over a ring plus a matching with T = 3n and 4 chains. The second
+    batch flips weights to -inf: a vertex potential, which moves that
+    vertex's start, and one entry of an edge potential."""
     h = n // 2
     inst = ising_instance(n, _ring_plus_matching(n), 0.1)
     validate_feasibility(inst)  # as `dyngibbs run` does on loading
@@ -375,35 +328,49 @@ def _update_call_counts(n):
             SetEdgePotential(50, 51, EdgePotential(((0.1, -0.1), (-0.1, NEG_INF)))),
         ]),
     ]
-    calls = 0
+    calls = lines = 0
 
     def count(frame, event, arg):
         nonlocal calls
         if event == "call":
             calls += 1
 
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
     out = []
     for batch in batches:
-        calls = 0
+        calls = lines = 0
         sys.setprofile(count)
+        sys.settrace(count_lines)
         try:
             _, metrics = apply_update_multi(cs, batch)
             validate_feasibility(cs.inst)
         finally:
+            sys.settrace(None)
             sys.setprofile(None)
-        out.append((calls, sum(m.r_ham + m.r_graph for m in metrics)))
+        out.append((calls, lines, sum(m.r_ham + m.r_graph for m in metrics)))
     return out
 
 
 def test_update_cost_follows_footprint_not_n():
     # T/n is fixed, so the expected visits are the same at both sizes; the
     # Python work of planning, checking and replaying must not grow with n.
-    for k, ((small, small_visits), (large, large_visits)) in enumerate(
+    # Line events count too, so a loop over n that makes no calls shows.
+    for k, (small, large) in enumerate(
             zip(_update_call_counts(1_000), _update_call_counts(10_000))):
+        small_calls, small_lines, small_visits = small
+        large_calls, large_lines, large_visits = large
         assert small_visits > 0 and large_visits > 0
-        assert large < 2 * small, (
-            f"batch {k}: {large} calls at n=10^4 vs {small} at n=10^3 "
-            f"({large_visits} vs {small_visits} visits)")
+        assert large_calls < 2 * small_calls, (
+            f"batch {k}: {large_calls} calls at n=10^4 vs {small_calls} at "
+            f"n=10^3 ({large_visits} vs {small_visits} visits)")
+        assert large_lines < 2 * small_lines, (
+            f"batch {k}: {large_lines} line events at n=10^4 vs {small_lines} "
+            f"at n=10^3 ({large_visits} vs {small_visits} visits)")
 
 
 def _edit_batches(n, count, rng):
@@ -441,7 +408,17 @@ class TestReplayBytes:
     # but have no kernel to redraw from.
     SHA256 = "b37eafbf0037166cb9a28c1031504745830ecaf2bef83bc15bb8fd080b39a5f2"
 
-    def test_edit_batches_at_scale(self):
+    def test_edit_batches_at_scale(self, monkeypatch):
+        # The plan builds each phase's local views once for the whole pool:
+        # no batch asks twice for the same (instance, vertex).
+        asked = []
+        build = updater.local_restriction
+
+        def counted(inst, v):
+            asked.append((id(inst), v))
+            return build(inst, v)
+
+        monkeypatch.setattr(updater, "local_restriction", counted)
         n = 400
         inst = ising_instance(n, _ring_plus_matching(n), 0.1)
         sched = ScheduleFns(n_samples=PowerLogFn(6.0, 0.0, 0.0),
@@ -453,7 +430,9 @@ class TestReplayBytes:
         batches[0] = UpdateBatch(list(batches[0]) + [shift])
         digest = hashlib.sha256()
         for batch in batches:
+            asked.clear()
             _, metrics = apply_update_multi(cs, batch)
+            assert asked and len(set(asked)) == len(asked)
             for m, log in zip(metrics, cs.logs):
                 digest.update(repr((m.r_ham, m.r_graph, m.filter_size)).encode())
                 digest.update(repr([(t.vertex, t.spin)
