@@ -63,6 +63,7 @@ from .mrf import (
     SpinDomain,
     UpdateBatch,
     VertexPotential,
+    _check_id,
     dobrushin_check,
     validate_feasibility,
 )
@@ -113,7 +114,7 @@ def parse_instance(path) -> MrfInstance:
         if not isinstance(rec, dict):
             raise ParseError("vertex record must be a JSON object", field="vertices")
         v = rec.get("id")
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError("vertex id must be an integer", field="vertices.id")
         if v in vertices:
             raise ParseError(f"duplicate vertex id {v}", field="vertices.id")
@@ -128,7 +129,7 @@ def parse_instance(path) -> MrfInstance:
         if not isinstance(rec, dict):
             raise ParseError("edge record must be a JSON object", field="edges")
         u, v = rec.get("u"), rec.get("v")
-        if not isinstance(u, int) or not isinstance(v, int):
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (u, v)):
             raise ParseError("edge endpoints must be integers", field="edges")
         if u == v:
             raise ParseError(f"self-loop at {u}", field="edges")
@@ -189,6 +190,9 @@ def _parse_op(rec: dict, line: int):
         raise ParseError("op must be a JSON object", line=line)
     op = rec.get("op")
     try:
+        for key in ("u", "v"):
+            if key in rec:
+                _check_id(rec[key])
         if op == "set_vertex_phi":
             return SetVertexPotential(
                 rec["v"], VertexPotential(_weight(w, "phi") for w in rec["phi"])
@@ -584,12 +588,17 @@ def _verify_law(rng) -> tuple[bool, str]:
     # (name, instance, records, TV limit). Scenario k offsets its run, update
     # and fresh stream ids by k * reps. The colouring edge add is a
     # hard-constraint edit; a start that depended on the edges put it at 0.26.
+    # The forced colour is feasible only through its own batch's edge deletion.
     scenarios = [
         ("ising potentials", ising_instance(3, [(0, 1), (1, 2)], 0.35, field=0.1),
          [SetVertexPotential(1, VertexPotential((-0.4, 0.4))),
           SetEdgePotential(0, 1, EdgePotential(((-0.6, 0.6), (0.6, -0.6))))], 0.05),
         ("colouring edge add", coloring_instance(3, [(0, 1), (1, 2)], 4),
          [AddEdge(0, 2, coloring_edge(4))], 0.1),
+        ("colouring forced colour, own edge deleted",
+         coloring_instance(3, [(0, 1), (0, 2)], 3),
+         [SetVertexPotential(1, VertexPotential((0.0, NEG_INF, NEG_INF))),
+          DeleteEdge(0, 1)], 0.05),
     ]
     ok, parts = True, []
     for k, (name, old, records, limit) in enumerate(scenarios):

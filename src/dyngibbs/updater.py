@@ -2,42 +2,46 @@
 for a modified instance, touching only the transitions that can tell the two
 apart.
 
-The log is rewritten in place through a sequence of phases, each taking the
+The log is rewritten in place through at most three phases, each taking the
 chain law from one instance to the next:
 
-    potentials -> added vertices -> deleted edges -> added edges
-               -> deleted vertices -> length correction
+    added vertices -> coupled replay -> deleted vertices -> length correction
 
-The potential phase and both edge phases run one coupled replay: the
-recorded chain (X) is advanced alongside the target chain (Y), and only the
-ranks where the two can disagree are visited. Disagreements are tracked in a
-set D. A rank needs a visit iff its vertex was touched (an endpoint of a
-changed edge, redrawn fresh from the new law), it is a pre-sampled
-correction rank of the potential phase, its vertex's boundary intersects D,
-or its vertex itself sits in D. At an untouched vertex the recorded draw is
-coupled maximally with a draw under Y's boundary, then corrected at a filter
-rank. Everything else is provably identical on both chains and is skipped.
+The added vertices enter isolated with their final potentials, the replay
+carries every potential edit and every edge deletion and addition at once,
+and the deleted vertices leave isolated, with the potentials they had. The
+replay advances the recorded chain (X) alongside the target chain (Y) and
+visits only the ranks where the two can disagree. Disagreements are tracked
+in a set D. A rank needs a visit iff its vertex was touched (an endpoint of
+an edge whose presence changes, redrawn fresh from the new law), it is a
+pre-sampled correction rank of a vertex whose potentials changed, its
+vertex's boundary intersects D, or its vertex itself sits in D. At an
+untouched vertex the recorded draw is coupled maximally with a draw under
+Y's boundary, then corrected at a filter rank. Everything else is provably
+identical on both chains and is skipped.
 
 Every chain starts with each vertex at the first spin its own potential
-allows, whatever the edges, so only the potential phase moves X0: at a
-vertex whose first allowed spin changes, which enters D at rank 0. A weight
-flipped between finite and -inf is replayed like any other potential edit;
-no chain is ever regenerated.
+allows, whatever the edges, so only a potential edit moves X0: at a vertex
+whose first allowed spin changes, which enters D at rank 0. A weight flipped
+between finite and -inf is replayed like any other potential edit; no chain
+is ever regenerated.
 
 Cost model. An edit costs its footprint, not the size of the model. The plan
 resolves each phase once per batch, from the batch's own records, into a
-record every chain shares: its instance pair, derived from the one before
-it, the touched endpoints, the moved starts, the filter bounds or the vertex
-ids, and caches of the local views. That costs O(|batch| * Δ) plus C-level
-copies of the instance maps a phase changes, and a phase is valid by
-construction, so no chain re-checks it. The chains then only draw: a
-replay costs O(visits), takes the instance's adjacency mapping by
-reference, and builds each local view at most once per batch for the whole
-pool. A vertex phase rewrites each log once, O(n + T) per chain: it builds
-the new columns and reloads them, with no inner rank edits (see execlog).
-The feasibility of every phase's instance is decided before any chain is
-touched, from the answer carried forward from the current instance, in
-O(|touched|).
+record every chain shares: its instance pair, the touched endpoints, the
+moved starts, the filter bounds or the vertex ids, and caches of the local
+views. That costs O(|batch| * Δ) plus C-level copies of the instance maps a
+phase changes, and a phase is valid by construction, so no chain re-checks
+it. The chains then only draw: a replay costs O(visits), takes the
+instance's adjacency mapping by reference, and builds each local view at
+most once per batch for the whole pool. A vertex phase rewrites each log
+once, O(n + T) per chain: it builds the new columns and reloads them, with
+no inner rank edits (see execlog).
+
+Only the final instance is checked for feasibility, in O(|touched|) from
+the answer carried forward from the current instance. The replay's ends add
+only isolated vertices, each with a potential that allows a spin, to the
+current and the final instance, so they are feasible when those are.
 """
 
 from __future__ import annotations
@@ -54,14 +58,9 @@ from .errors import InfeasibleInstance
 from .execlog import ExecutionLog
 from .inference import DiffEntry, SampleDiff, ScheduleFns
 from .mrf import (
-    AddEdge,
     AddVertex,
-    DeleteEdge,
-    DeleteVertex,
     LocalView,
     MrfInstance,
-    SetEdgePotential,
-    SetVertexPotential,
     UpdateBatch,
     instance_delta,
     local_restriction,
@@ -195,7 +194,7 @@ def _view(cache: dict, inst: MrfInstance, v: int) -> LocalView:
     return view
 
 
-def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps=()) -> int:
+def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps) -> int:
     """Replay the log from phase.before's law to phase.after's, in place;
     returns the number of ranks visited.
 
@@ -272,32 +271,24 @@ def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps=()) -> int:
 
 
 def update_hamiltonian(phase: _Phase, log: ExecutionLog, fsteps, rng) -> int:
-    """Replay the log across a potential phase (same graph, changed
-    potentials), with fsteps the filter ranks build_filter marked with
-    phase.pbar. Returns the number of ranks visited.
-
-    At a visited rank the recorded draw is coupled maximally with a draw from
-    the old law under the Y boundary; at a filter rank a correction coin
-    (always one uniform) decides whether Y is redrawn from the kernel that
-    maps the old conditional onto the new one. A weight flipped between
-    finite and -inf gets p_up 1, so every transition of the vertices it
-    touches is a filter rank. X0 moves at phase.starts.
-    """
+    """Replay the log across a replay phase that changes only potentials,
+    with fsteps the filter ranks build_filter marked with phase.pbar.
+    Returns the number of ranks visited. A weight flipped between finite and
+    -inf gets p_up 1, so every transition of the vertices it touches is a
+    filter rank."""
     return _replay(phase, log, rng, fsteps)
 
 
-def update_edge(phase: _Phase, log: ExecutionLog, rng) -> int:
-    """Replay the log across an edge phase (same vertices and potentials,
-    edges only deleted or only added). Returns the number of ranks visited.
+def update_edge(phase: _Phase, log: ExecutionLog, fsteps, rng) -> int:
+    """Replay the log across a replay phase that deletes or adds edges, and
+    may change potentials too. Returns the number of ranks visited.
 
     phase.touched, the endpoints of the changed edges, are redrawn fresh
-    from the new conditional at every one of their transitions (always one
-    uniform: the product coupling). Other vertices only react to
-    disagreement reaching their boundary, through the maximal coupling of
-    two old-law conditionals, which is sound because no edge incident to
-    them changed.
+    from the new conditional at every one of their transitions. Any other
+    vertex keeps its neighbour set, so its potential edits are corrected at
+    the filter ranks fsteps as in update_hamiltonian.
     """
-    return _replay(phase, log, rng)
+    return _replay(phase, log, rng, fsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +335,12 @@ def add_vertices(phase: _Phase, log: ExecutionLog, rng) -> None:
     log.load_run(initial, verts, spins)
 
 
-def delete_vertices(phase: _Phase, log: ExecutionLog, rng) -> None:
-    """Remove phase.vertices, isolated, and every transition touching them,
-    then extend the tail back to the original length under the shrunk
-    instance. The log is rewritten once: filtered columns, one reload."""
+def delete_vertices(phase: _Phase, log: ExecutionLog) -> None:
+    """Remove phase.vertices, isolated, and every transition touching them.
+    The log gets shorter; execute_update's length correction extends it
+    under the shrunk instance. The log is rewritten once: filtered columns,
+    one reload."""
     removed = phase.vertices
-    T = log.length
     initial = log.initial_config()
     for v in removed:
         del initial[v]
@@ -357,7 +348,6 @@ def delete_vertices(phase: _Phase, log: ExecutionLog, rng) -> None:
     for r in sorted((r for v in removed for r in log.steps_of(v)), reverse=True):
         del verts[r - 1], spins[r - 1]
     log.load_run(initial, verts, spins)
-    length_fix(phase.after, log, T, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +356,10 @@ def delete_vertices(phase: _Phase, log: ExecutionLog, rng) -> None:
 
 @dataclass
 class UpdateMetrics:
-    """Work accounting for one chain's update. regenerated is always False
-    (no chain is regenerated); it stays because the benchmark reports it."""
+    """Work accounting for one chain's update: the replay's visits in r_ham
+    when it changes only potentials, in r_graph when it changes edges, and
+    its filter size. regenerated is always False (no chain is regenerated);
+    it stays because the benchmark reports it."""
 
     r_ham: int = 0
     r_graph: int = 0
@@ -382,14 +374,14 @@ class _Phase:
     """One planned phase: its instance pair and everything about it that is
     the same for every chain, so a chain's phase only draws.
 
-    touched: the endpoints of the changed edges (edge phases).
+    touched: the endpoints of the edges whose presence changes (replay).
     starts: (v, y0) for each vertex whose first allowed spin moves,
-        ascending (potential phase).
-    pbar: the filter bounds (potential phase).
+        ascending (replay).
+    pbar: the filter bounds of the vertices named by potential edits, less
+        the touched ones, which are redrawn fresh anyway (replay).
     vertices: the ids added or removed, ascending (vertex phases).
     old_views, new_views: local views of before and after, filled lazily
-        and shared by every chain's replay. One dict serves each instance,
-        so a phase's new_views is the next phase's old_views.
+        and shared by every chain's replay.
     """
 
     name: str
@@ -418,83 +410,72 @@ def plan_update(
     serves every chain.
 
     Everything is read off the batch's own records: the net change of each
-    named vertex and edge gives the potential records and the phase lists,
-    and every intermediate instance is derived from the one before it. So
-    the plan costs O(|batch| * Δ) plus C-level copies of the maps each phase
-    changes, and each phase is valid by construction: no chain re-checks it.
-    A vertex potential that excludes every spin raises InfeasibleInstance.
+    named vertex and edge gives the added and doomed vertices, the touched
+    endpoints and the vertices whose potentials change. The last phase leads
+    to the batch's own final instance, and an earlier one to an instance
+    derived in one step: the current one plus the added vertices, isolated,
+    or the final one plus the doomed vertices, isolated with their old
+    potentials. So the plan costs O(|batch| * Δ) plus C-level copies of the
+    maps each phase changes, and each phase is valid by construction: no
+    chain re-checks it. A vertex potential that excludes every spin raises
+    InfeasibleInstance.
     """
     final = inst.apply_batch(batch)
     target = mixing_length(final.n, params)
     dv, de = instance_delta(inst, final)
-    recs = []
-    added, doomed, adds, dels = [], [], [], []
+    added, doomed, starts = [], [], []
+    named: set[int] = set()
     for v in sorted(dv):
         was, now = inst.has_vertex(v), final.has_vertex(v)
         if was and now:
             pv = final.vertex_potential(v)
             if pv != inst.vertex_potential(v):
-                recs.append(SetVertexPotential(v, pv))
-        elif now:
-            added.append(v)
-        elif was:
-            doomed.append(v)
-    for u, w in sorted(de):
-        was, now = inst.has_edge(u, w), final.has_edge(u, w)
-        if was and now:
-            pe = final.edge_potential(u, w)
-            if pe != inst.edge_potential(u, w):
-                recs.append(SetEdgePotential(u, w, pe))
-        elif now:
-            adds.append((u, w))
-        elif was:
-            dels.append((u, w))
-    phases = []
-    cur, views = inst, {}
-    if recs:
-        mid, mid_views = inst.apply_batch(UpdateBatch(recs)), {}
-        affected = set()
-        starts = []
-        for r in recs:
-            if isinstance(r, SetVertexPotential):
-                v = r.vertex
-                affected.add(v)
+                named.add(v)
                 try:
-                    y0 = start_spin(r.potential.weights)
+                    y0 = start_spin(pv.weights)
                     moved = y0 != start_spin(inst.vertex_potential(v).weights)
                 except InfeasibleInstance:
                     raise InfeasibleInstance(f"vertex {v}: every spin excluded") from None
                 if moved:
                     starts.append((v, y0))
-            else:
-                affected.add(r.u)
-                affected.add(r.v)
+        elif now:
+            added.append(v)
+        elif was:
+            doomed.append(v)
+    touched: set[int] = set()
+    for u, w in de:
+        was, now = inst.has_edge(u, w), final.has_edge(u, w)
+        if was != now:
+            touched.update((u, w))
+        elif was and final.edge_potential(u, w) != inst.edge_potential(u, w):
+            named.update((u, w))
+    replay = bool(touched or named)
+    # The replay runs from start to end. The last phase ends at final
+    # itself; an earlier one ends at an instance derived in one step.
+    start, end = inst, final
+    if added:
+        start = final if not (replay or doomed) else inst.apply_batch(
+            UpdateBatch(AddVertex(a, final.vertex_potential(a)) for a in added))
+    if doomed:
+        end = start if not replay else final.apply_batch(
+            UpdateBatch(AddVertex(v, inst.vertex_potential(v)) for v in doomed))
+    phases = []
+    if added:
+        phases.append(_Phase("add_vertices", inst, start, vertices=tuple(added)))
+    if replay:
+        old_views: dict = {}
+        new_views: dict = {}
         pbar: dict[int, float] = {}
-        for v in sorted(affected):
-            pv = p_up(_view(views, inst, v), _view(mid_views, mid, v))
+        for v in sorted(named - touched):
+            pv = p_up(_view(old_views, start, v), _view(new_views, end, v))
             if pv > 0.0:
                 pbar[v] = pv
-        phases.append(_Phase("potentials", inst, mid, starts=tuple(starts),
-                             pbar=pbar, old_views=views, new_views=mid_views))
-        cur, views = mid, mid_views
-    for name, records, derived in (
-        ("add_vertices", [AddVertex(a, final.vertex_potential(a)) for a in added],
-         {"vertices": tuple(added)}),
-        ("delete_edges", [DeleteEdge(u, w) for u, w in dels],
-         {"touched": frozenset(x for e in dels for x in e)}),
-        ("add_edges", [AddEdge(u, w, final.edge_potential(u, w)) for u, w in adds],
-         {"touched": frozenset(x for e in adds for x in e)}),
-        ("delete_vertices", [DeleteVertex(v) for v in doomed],
-         {"vertices": tuple(doomed)}),
-    ):
-        if records:
-            nxt, nxt_views = cur.apply_batch(UpdateBatch(records)), {}
-            phases.append(_Phase(name, cur, nxt, old_views=views,
-                                 new_views=nxt_views, **derived))
-            cur, views = nxt, nxt_views
-    # cur equals final by value; it is the instance the last phase updates
-    # the logs to, so it becomes the pool's instance.
-    return _UpdatePlan(cur if phases else final, target, tuple(phases))
+        phases.append(_Phase("replay", start, end, touched=frozenset(touched),
+                             starts=tuple(starts), pbar=pbar,
+                             old_views=old_views, new_views=new_views))
+    if doomed:
+        phases.append(_Phase("delete_vertices", end, final, vertices=tuple(doomed)))
+    return _UpdatePlan(final, target, tuple(phases))
 
 
 def execute_update(plan: _UpdatePlan, log: ExecutionLog, rng) -> UpdateMetrics:
@@ -509,16 +490,19 @@ def execute_update(plan: _UpdatePlan, log: ExecutionLog, rng) -> UpdateMetrics:
     for phase in plan.phases:
         p0 = time.perf_counter()
         name = phase.name
-        if name == "potentials":
-            fsteps = build_filter(log, phase.pbar, rng)
-            m.filter_size = len(fsteps)
-            m.r_ham = update_hamiltonian(phase, log, fsteps, rng)
-        elif name == "add_vertices":
+        if name == "add_vertices":
             add_vertices(phase, log, rng)
         elif name == "delete_vertices":
-            delete_vertices(phase, log, rng)
+            delete_vertices(phase, log)
         else:
-            m.r_graph += update_edge(phase, log, rng)
+            fsteps = build_filter(log, phase.pbar, rng)
+            m.filter_size = len(fsteps)
+            # One replay under two names, so a tracer can tell the replays
+            # that change edges from those that change only potentials.
+            if phase.touched:
+                m.r_graph = update_edge(phase, log, fsteps, rng)
+            else:
+                m.r_ham = update_hamiltonian(phase, log, fsteps, rng)
         m.phase_wall[name] = time.perf_counter() - p0
     if log.length != plan.target:
         length_fix(plan.final, log, plan.target, rng)
@@ -599,13 +583,15 @@ def apply_update_multi(
 ) -> tuple[SampleDiff, list[UpdateMetrics]]:
     """Update every chain in the pool and resize it to the new sample count.
 
-    All or nothing on infeasible batches: every instance a phase leads to,
-    the planned one last, is checked in O(|touched|) with the answer carried
-    forward from cs.inst, before any chain is touched, and
-    InfeasibleInstance leaves the pool, its instance, epoch and stream
-    counter as they were. So does DegreeTooLarge, raised when a vertex the
-    check must enumerate is over the cap. So -inf potential edits that are
-    feasible only through an edge deletion in the same batch are refused.
+    All or nothing on infeasible batches: the planned instance is checked
+    in O(|touched|) with the answer carried forward from cs.inst, before any
+    chain is touched, and InfeasibleInstance leaves the pool, its instance,
+    epoch and stream counter as they were. So does DegreeTooLarge, raised
+    when a vertex the check must enumerate is over the cap. Every phase's
+    instance is feasible when cs.inst and the planned one are (see the
+    module docstring), so a batch is accepted whenever its end is feasible,
+    -inf potential edits that rely on an edge deletion of the same batch
+    included.
 
     Costs O(|batch| * Δ) for the plan plus, per chain, O(visits) and
     O(n + T) for each vertex phase, which rewrites the log once. Returns the
@@ -615,14 +601,12 @@ def apply_update_multi(
     Chains are updated one after another in chain order.
     """
     plan = plan_update(cs.inst, batch, cs.params)
-    checks = [(ph.name, ph.after) for ph in plan.phases] or [("batch", plan.final)]
-    for name, after in checks:
-        rep = validate_feasibility(after)
-        if not rep.ok:
-            raise InfeasibleInstance(
-                f"instance after the {name} phase is infeasible at vertex "
-                f"{rep.vertex} under boundary {dict(rep.boundary)}"
-            )
+    rep = validate_feasibility(plan.final)
+    if not rep.ok:
+        raise InfeasibleInstance(
+            "instance after the batch is infeasible at vertex "
+            f"{rep.vertex} under boundary {dict(rep.boundary)}"
+        )
     entries: list[DiffEntry] = []
     metrics: list[UpdateMetrics] = []
     seed, epoch = cs.params.seed, cs.epoch

@@ -156,3 +156,69 @@ def exact_final_law(inst, T):
     start = np.zeros(K)
     start[encode_config(ids, q, initial_config(inst))] = 1.0
     return start @ np.linalg.matrix_power(P, T)
+
+
+def exact_log_law(inst, T):
+    """Law of the whole log of a T-step run from the edge-free start, as a
+    map from (X0, steps) to its probability: X0 as sorted (vertex, spin)
+    pairs, steps as the T (vertex, spin) transitions. Each step picks one of
+    the n vertices with probability 1/n and its spin from the conditional
+    under the current boundary. Only for (n q)^T up to a few thousand."""
+    from dyngibbs.mrf import local_restriction
+    from dyngibbs.oracle import initial_config
+
+    ids = inst.vertex_ids()
+    views = {v: local_restriction(inst, v) for v in ids}
+    x0 = initial_config(inst)
+    start = tuple(sorted(x0.items()))
+    law = {}
+
+    def walk(cfg, steps, prob):
+        if len(steps) == T:
+            law[(start, steps)] = prob
+            return
+        for v in ids:
+            view = views[v]
+            mu = view.conditional({u: cfg[u] for u in view.neighbors})
+            for c, m in enumerate(mu):
+                if m > 0.0:
+                    walk({**cfg, v: c}, steps + ((v, c),), prob * m / len(ids))
+
+    walk(x0, (), 1.0)
+    return law
+
+
+def chi2_goodness_of_fit(counts, law):
+    """Chi-square p-value of observed counts (a map from outcome to count)
+    against an exact law (a map from outcome to probability). Cells under 5
+    expected are merged into one; an outcome outside the law's support
+    gives 0."""
+    from scipy.stats import chi2
+
+    if any(k not in law for k in counts):
+        return 0.0
+    total = sum(counts.values())
+    obs, exp = [], []
+    rest_obs = rest_exp = 0.0
+    for k, p in law.items():
+        e = p * total
+        if e < 5.0:
+            rest_obs += counts.get(k, 0)
+            rest_exp += e
+        else:
+            obs.append(counts.get(k, 0))
+            exp.append(e)
+    if rest_exp > 0.0:
+        if rest_exp < 5.0 and exp:
+            # Too small on its own: fold it into the smallest kept cell.
+            i = exp.index(min(exp))
+            obs[i] += rest_obs
+            exp[i] += rest_exp
+        else:
+            obs.append(rest_obs)
+            exp.append(rest_exp)
+    obs, exp = np.asarray(obs, dtype=float), np.asarray(exp, dtype=float)
+    dof = len(exp) - 1
+    if dof <= 0:
+        return 1.0
+    return float(chi2.sf(np.sum((obs - exp) ** 2 / exp), dof))

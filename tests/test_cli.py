@@ -147,7 +147,8 @@ class TestExitCodes:
 
     def test_parse(self, workdir):
         # Invalid JSON, then valid JSON of the wrong shape: a vertex record,
-        # an op, an op's phi and a query that are numbers.
+        # an op, an op's phi and a query that are numbers, and vertex ids
+        # that are strings or booleans.
         originals = {"inst.json": json.dumps(INSTANCE), "updates.jsonl": UPDATES,
                      "queries.json": json.dumps(QUERIES)}
         cases = [
@@ -155,6 +156,12 @@ class TestExitCodes:
             ("inst.json", json.dumps(dict(INSTANCE, vertices=[7]))),
             ("updates.jsonl", '{"ops":[7]}\n'),
             ("updates.jsonl", '{"ops":[{"op":"set_vertex_phi","v":1,"phi":7}]}\n'),
+            ("updates.jsonl", '{"ops":[{"op":"add_vertex","v":"x","phi":[0,0]}]}\n'),
+            ("updates.jsonl", '{"ops":[{"op":"del_edge","u":"a","v":1}]}\n'),
+            ("updates.jsonl", '{"ops":[{"op":"set_vertex_phi","v":false,"phi":[0,0]}]}\n'),
+            ("inst.json", json.dumps(dict(INSTANCE, vertices=[{"id": True, "phi": [0, 0]}]))),
+            ("inst.json", json.dumps(dict(INSTANCE, edges=[{"u": 0, "v": True,
+                                                            "phi": [[0, 0], [0, 0]]}]))),
             ("queries.json", json.dumps(QUERIES + [7])),
         ]
         for name, text in cases:
@@ -230,9 +237,9 @@ class TestBench:
 class TestGolden:
     # sha256 of estimates.jsonl followed by samples.json for acceptance
     # criterion 9's run (a potential edit, an edge rewire and a vertex add
-    # under --delta check), as written before instances were derived from
-    # their batches. Any change to seeded output bytes shows here.
-    SHA256 = "a6105f6c659f63bbdd73085f800a7398981d516bf2c6f88c7cc3a59f3823c7b4"
+    # under --delta check), with the rewire's deletion and addition in one
+    # replay. Any change to seeded output bytes shows here.
+    SHA256 = "d5226c50a742cd5d237c89a3a0006f225b4d745904403056d975122ff8e463e3"
 
     def test_criterion_9_run_bytes(self, tmp_path):
         inst = {"q": 2,

@@ -108,54 +108,41 @@ def _support(view):
 
 def reference_plan(inst: MrfInstance, batch, params):
     """(final, target, phases) by whole-set comparison, each phase as
-    (name, before, after, touched, starts, pbar, vertices). A weight flipped
-    between finite and -inf gives its vertices pbar 1."""
+    (name, before, after, touched, starts, pbar, vertices): added vertices
+    isolated, one replay of every potential and edge change, deleted
+    vertices isolated. A weight flipped between finite and -inf gives its
+    vertices pbar 1."""
     final = reference_apply(inst, batch)
     target = mixing_length(final.n, params)
-    recs = []
-    for v in inst.vertex_ids():
-        if final.has_vertex(v) and final.vertex_potential(v) != inst.vertex_potential(v):
-            recs.append(SetVertexPotential(v, final.vertex_potential(v)))
-    for u, w in inst.edge_keys():
-        if final.has_edge(u, w) and final.edge_potential(u, w) != inst.edge_potential(u, w):
-            recs.append(SetEdgePotential(u, w, final.edge_potential(u, w)))
-    mid = reference_apply(inst, recs) if recs else inst
-    phases = []
-    if recs:
-        affected = set()
-        for r in recs:
-            affected.update((r.vertex,) if isinstance(r, SetVertexPotential) else (r.u, r.v))
-        pbar = {}
-        for v in sorted(affected):
-            a, b = local_restriction(inst, v), local_restriction(mid, v)
-            pv = 1.0 if _support(a) != _support(b) else p_up(a, b)
-            if pv > 0.0:
-                pbar[v] = pv
-        starts = []
-        for v in inst.vertex_ids():
-            if mid.vertex_potential(v) != inst.vertex_potential(v):
-                y0 = start_spin(mid.vertex_potential(v).weights)
-                if y0 != start_spin(inst.vertex_potential(v).weights):
-                    starts.append((v, y0))
-        phases.append(("potentials", inst, mid, frozenset(), tuple(starts), pbar, ()))
-    cur = mid
     v_old, v_new = set(inst.vertex_ids()), set(final.vertex_ids())
     e_old, e_new = set(inst.edge_keys()), set(final.edge_keys())
     born, dead = sorted(v_new - v_old), sorted(v_old - v_new)
-    cut, made = sorted(e_old - e_new), sorted(e_new - e_old)
-    for name, records, touched, vertices in (
-        ("add_vertices", [AddVertex(a, final.vertex_potential(a)) for a in born],
-         (), born),
-        ("delete_edges", [DeleteEdge(u, w) for u, w in cut], cut, ()),
-        ("add_edges", [AddEdge(u, w, final.edge_potential(u, w)) for u, w in made],
-         made, ()),
-        ("delete_vertices", [DeleteVertex(v) for v in dead], (), dead),
-    ):
-        if records:
-            nxt = reference_apply(cur, records)
-            ends = frozenset(x for e in touched for x in e)
-            phases.append((name, cur, nxt, ends, (), {}, tuple(vertices)))
-            cur = nxt
+    touched = frozenset(x for e in e_old ^ e_new for x in e)
+    named, starts = set(), []
+    for v in sorted(v_old & v_new):
+        if final.vertex_potential(v) != inst.vertex_potential(v):
+            named.add(v)
+            y0 = start_spin(final.vertex_potential(v).weights)
+            if y0 != start_spin(inst.vertex_potential(v).weights):
+                starts.append((v, y0))
+    for u, w in e_old & e_new:
+        if final.edge_potential(u, w) != inst.edge_potential(u, w):
+            named.update((u, w))
+    start = reference_apply(inst, [AddVertex(a, final.vertex_potential(a)) for a in born])
+    end = reference_apply(final, [AddVertex(v, inst.vertex_potential(v)) for v in dead])
+    pbar = {}
+    for v in sorted(named - touched):
+        a, b = local_restriction(start, v), local_restriction(end, v)
+        pv = 1.0 if _support(a) != _support(b) else p_up(a, b)
+        if pv > 0.0:
+            pbar[v] = pv
+    phases = []
+    if born:
+        phases.append(("add_vertices", inst, start, frozenset(), (), {}, tuple(born)))
+    if touched or named:
+        phases.append(("replay", start, end, touched, tuple(starts), pbar, ()))
+    if dead:
+        phases.append(("delete_vertices", end, final, frozenset(), (), {}, tuple(dead)))
     return final, target, tuple(phases)
 
 

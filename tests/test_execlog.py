@@ -226,7 +226,7 @@ class TestInnerRankEdits:
         assert (shrink.name, shrink.vertices) == ("delete_vertices", doomed)
         survivors = [(v, c) for v, c in zip(twin.verts, twin.spins)
                      if v not in doomed]
-        updater.delete_vertices(shrink, log, draws)
+        updater.delete_vertices(shrink, log)
         twin = twin_of(log)
         assert_agrees(log, twin)
         assert list(zip(twin.verts, twin.spins))[:len(survivors)] == survivors

@@ -48,7 +48,7 @@ from dyngibbs.updater import (
     new_chain_set,
     plan_update,
 )
-from helpers import exact_final_law
+from helpers import chi2_goodness_of_fit, exact_final_law, exact_log_law
 from dyngibbs.oracle import encode_config
 
 
@@ -133,6 +133,84 @@ class TestLawPreservation:
         assert updated_law_tv(old, UpdateBatch(records), T, self.REPS) < 0.05
 
 
+def _law_cases():
+    """(id, instance, batches, T) for the whole-log law gate. Every record
+    kind appears, across Ising, hardcore and colouring, and two cases run 2-3
+    batches in a row, so a log updated once is updated again."""
+    path = ising_instance(3, [(0, 1), (1, 2)], 0.3, field=0.1)
+    no_zero = MrfInstance(SpinDomain(3), {
+        0: VertexPotential((NEG_INF, 0.0, 0.0)),
+        1: coloring_vertex(3), 2: coloring_vertex(3),
+    }, {(0, 1): coloring_edge(3), (1, 2): coloring_edge(3)})
+    return [
+        ("ising-mixed-edit", path, [[
+            SetVertexPotential(1, VertexPotential((-0.5, 0.5))),
+            SetEdgePotential(0, 1, ising_edge(-0.6)),
+            DeleteEdge(1, 2), AddEdge(0, 2, ising_edge(0.5))]], 4),
+        ("ising-field-on-rewired-endpoint", path, [[
+            SetVertexPotential(0, VertexPotential((1.0, -1.0))),
+            DeleteEdge(0, 1), AddEdge(0, 2, ising_edge(0.4))]], 4),
+        # Refused while potentials were replayed before edge deletions.
+        ("coloring-force-with-own-edge-deletion",
+         coloring_instance(3, [(0, 1), (0, 2)], 3), [[
+             SetVertexPotential(1, VertexPotential((0.0, NEG_INF, NEG_INF))),
+             DeleteEdge(0, 1)]], 3),
+        # The relaxed potential moves the start of a touched vertex.
+        ("coloring-add-edge-relax-potential", no_zero, [[
+            AddEdge(0, 2, coloring_edge(3)),
+            SetVertexPotential(0, coloring_vertex(3))]], 3),
+        ("hardcore-vertex-churn-with-potentials",
+         hardcore_instance(3, [(0, 1), (1, 2)], 1.2), [
+            [AddVertex(3, hardcore_vertex(0.8)), AddEdge(3, 0, hardcore_edge()),
+             SetVertexPotential(2, hardcore_vertex(2.0))],
+            [DeleteEdge(3, 0), DeleteVertex(3),
+             SetVertexPotential(1, hardcore_vertex(0.5))]], 4),
+        ("ising-three-batches", path, [
+            [SetVertexPotential(2, VertexPotential((0.25, -0.1))), DeleteEdge(0, 1)],
+            [AddEdge(0, 2, ising_edge(-0.5)), SetEdgePotential(1, 2, ising_edge(0.7))],
+            [SetVertexPotential(0, VertexPotential((-0.4, 0.4))),
+             SetEdgePotential(0, 2, ising_edge(0.2)), DeleteEdge(1, 2)]], 4),
+        # Vertex 3 is edited but untouched, so only its filter ranks can
+        # correct its law; vertex 0's rewire runs in the same replay.
+        ("ising-4-path-untouched-field-and-coupling",
+         ising_instance(4, [(0, 1), (1, 2), (2, 3)], 0.2), [[
+             SetVertexPotential(3, VertexPotential((1.5, -1.5))),
+             SetEdgePotential(2, 3, ising_edge(-0.8)),
+             DeleteEdge(0, 1), AddEdge(0, 2, ising_edge(0.4))]], 3),
+    ]
+
+
+class TestWholeLogLaw:
+    # Updated logs, X0 and every transition, against the exact law of a
+    # fresh T-step log on the new instance, by chi-square goodness of fit
+    # after every batch of a case, with a Bonferroni threshold over all of
+    # them. A vertex deletion hides the marks add_vertices drew, so the
+    # check after each batch is needed to see them.
+    REPS = 20_000
+    ALPHA = 0.01
+    CHECKS = sum(len(c[2]) for c in _law_cases())
+
+    @pytest.mark.parametrize("name, old, batches, T", _law_cases(),
+                             ids=[c[0] for c in _law_cases()])
+    def test_updated_logs_follow_the_fresh_log_law(self, name, old, batches, T):
+        p = params(T, seed=31)
+        plans, inst = [], old
+        for records in batches:
+            plans.append(plan_update(inst, UpdateBatch(records), p))
+            inst = plans[-1].final
+        counts = [{} for _ in plans]
+        for i in range(self.REPS):
+            log = run_chain(old, p, stream=i)
+            for epoch, (plan, seen) in enumerate(zip(plans, counts), 1):
+                execute_update(plan, log, make_stream(31, update_stream(epoch, i)))
+                key = (tuple(sorted(log.initial_config().items())),
+                       tuple((t.vertex, t.spin) for t in log.transitions()))
+                seen[key] = seen.get(key, 0) + 1
+        for k, (plan, seen) in enumerate(zip(plans, counts), 1):
+            pval = chi2_goodness_of_fit(seen, exact_log_law(plan.final, T))
+            assert pval > self.ALPHA / self.CHECKS, f"{name}, batch {k}: p = {pval:.2e}"
+
+
 class TestDeterminism:
     def test_same_seeds_same_result(self):
         old = ising_instance(5, [(0, 1), (1, 2), (2, 3), (3, 4)], 0.3)
@@ -178,6 +256,29 @@ class TestWorkAccounting:
         # roughly half of vertex 2's steps, binomial slack
         occ = len(log.steps_of(2))
         assert 0.2 * occ < len(marks) < 0.8 * occ
+
+    def test_plan_derives_an_instance_only_between_phases(self, monkeypatch):
+        # The last phase leads to the batch's own final instance, so only a
+        # vertex phase with another phase after it derives one more.
+        derived = []
+        derive = MrfInstance.apply_batch
+
+        def counted(inst, batch):
+            derived.append(batch)
+            return derive(inst, batch)
+
+        monkeypatch.setattr(MrfInstance, "apply_batch", counted)
+        old = ising_instance(6, [(i, i + 1) for i in range(5)], 0.2)
+        rewire = [SetVertexPotential(0, ising_vertex(0.1)),
+                  SetEdgePotential(1, 2, ising_edge(0.3)),
+                  DeleteEdge(2, 3), AddEdge(2, 4, ising_edge(0.1))]
+        attach = [AddVertex(9, ising_vertex(0.0)), AddEdge(9, 0, ising_edge(0.2))]
+        detach = [DeleteEdge(4, 5), DeleteVertex(5)]
+        for records, count in ((rewire, 1), (attach, 2), (detach, 2),
+                               (attach + detach, 3)):
+            derived.clear()
+            plan_update(old, UpdateBatch(records), params(50))
+            assert len(derived) == count, [len(b) for b in derived]
 
     def test_metrics_wall_time_populated(self):
         old = ising_instance(4, [(0, 1), (1, 2)], 0.2)
@@ -251,10 +352,7 @@ class TestChainPool:
     def test_infeasible_batch_leaves_pool_untouched(self):
         # A 3-colouring star whose centre gets a third neighbour: some
         # boundary then excludes every colour at the centre. The batch used to
-        # rewrite the chains whose replay got there first, then raise. The
-        # last batch ends feasible, but forcing vertex 1 to colour 0 while
-        # its edge to the centre is still there leaves the potential phase no
-        # law to replay to.
+        # rewrite the chains whose replay got there first, then raise.
         inst = coloring_instance(4, [(0, 1), (0, 2)], 3)
         cs = new_chain_set(inst, params(60, seed=7), self.schedule(40))
 
@@ -268,14 +366,28 @@ class TestChainPool:
             UpdateBatch([AddEdge(0, 3, coloring_edge(3))]),
             UpdateBatch([AddVertex(9, coloring_vertex(3)),
                          AddEdge(0, 9, coloring_edge(3))]),
-            UpdateBatch([SetVertexPotential(1, VertexPotential((0.0, NEG_INF, NEG_INF))),
-                         DeleteEdge(0, 1)]),
         ):
             with pytest.raises(InfeasibleInstance):
                 apply_update_multi(cs, batch)
             assert state() == before
             assert cs.inst is inst_before
             assert (cs.epoch, cs.next_stream) == (epoch, stream)
+
+    def test_batch_feasible_only_through_its_own_edge_deletion(self):
+        # Forcing vertex 1 of a 3-colouring star to colour 0 is feasible only
+        # once its edge to the centre is gone. The replay carries both edits
+        # at once, so only the end of the batch has to be feasible.
+        inst = coloring_instance(3, [(0, 1), (0, 2)], 3)
+        cs = new_chain_set(inst, params(60, seed=7), self.schedule(40))
+        forced = VertexPotential((0.0, NEG_INF, NEG_INF))
+        batch = UpdateBatch([SetVertexPotential(1, forced), DeleteEdge(0, 1)])
+        apply_update_multi(cs, batch)
+        assert cs.inst == inst.apply_batch(batch)
+        assert cs.epoch == 1
+        for log in cs.logs:
+            assert log.length == 60
+            assert log.initial_config()[1] == 0
+            assert all(t.spin == 0 for t in log.transitions() if t.vertex == 1)
 
     def test_over_cap_batch_leaves_pool_untouched(self):
         # The centre's not-equal edge leaves it no permissive spin, yet every
@@ -401,12 +513,13 @@ def _edit_batches(n, count, rng):
 
 class TestReplayBytes:
     # sha256 over every batch's per-chain (r_ham, r_graph, filter_size) and
-    # transitions. The run includes correction-kernel redraws and residual
-    # redraws of the maximal coupling, so it pins both replay phases. The
-    # first batch also shifts one vertex potential by a constant: its
-    # conditionals do not change, so its filter ranks draw a correction coin
-    # but have no kernel to redraw from.
-    SHA256 = "b37eafbf0037166cb9a28c1031504745830ecaf2bef83bc15bb8fd080b39a5f2"
+    # transitions. Each batch edits potentials and rewires edges in one
+    # replay, with correction-kernel redraws, fresh redraws of the rewired
+    # endpoints and residual redraws of the maximal coupling. The first
+    # batch also shifts one vertex potential by a constant: its conditionals
+    # do not change, so its filter ranks draw a correction coin but have no
+    # kernel to redraw from.
+    SHA256 = "77dd32c13a3fa547a8a23a371f0b62d63f9d6c4534483274006f89f7477f1c5e"
 
     def test_edit_batches_at_scale(self, monkeypatch):
         # The plan builds each phase's local views once for the whole pool:
