@@ -114,8 +114,10 @@ def parse_instance(path) -> MrfInstance:
         if not isinstance(rec, dict):
             raise ParseError("vertex record must be a JSON object", field="vertices")
         v = rec.get("id")
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParseError("vertex id must be an integer", field="vertices.id")
+        try:
+            _check_id(v)
+        except (TypeError, ValueError) as e:
+            raise ParseError(str(e), field="vertices.id") from None
         if v in vertices:
             raise ParseError(f"duplicate vertex id {v}", field="vertices.id")
         phi = rec.get("phi")
@@ -247,6 +249,12 @@ def parse_update_stream(path) -> list[UpdateBatch]:
     return batches
 
 
+def _check_spin(c) -> int:
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise TypeError(f"spin must be an int, got {type(c).__name__}")
+    return c
+
+
 def parse_queries(path) -> list[tuple[str, Query]]:
     try:
         docs = json.loads(Path(path).read_text())
@@ -262,9 +270,9 @@ def parse_queries(path) -> list[tuple[str, Query]]:
         try:
             query = Query(
                 rec.get("kind"),
-                tuple(rec.get("a", ())),
-                tuple(rec.get("b", ())),
-                tuple(rec["tau_b"]) if "tau_b" in rec else None,
+                tuple(_check_id(v) for v in rec.get("a", ())),
+                tuple(_check_id(v) for v in rec.get("b", ())),
+                tuple(_check_spin(c) for c in rec["tau_b"]) if "tau_b" in rec else None,
                 cap=rec.get("cap", 3),
             )
         except (TypeError, ValueError) as e:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GraphMismatch, InfeasibleInstance
 from .execlog import ExecutionLog
-from .mrf import NEG_INF, MrfInstance, _CompiledInstance, start_spin
+from .mrf import NEG_INF, MrfInstance, local_restriction, start_spin
 from .rng import categorical, make_stream, uniform_index
 
 
@@ -53,34 +53,36 @@ def mixing_length(n: int, params: ChainParams) -> int:
 
 
 def _advance(
-    comp: _CompiledInstance,
-    cfg: list[int],
+    inst: MrfInstance,
+    cfg: dict[int, int],
     steps: int,
     rng: np.random.Generator,
     verts: list[int],
     spins: list[int],
 ) -> None:
-    """Apply `steps` Gibbs transitions to cfg in place, recording them."""
+    """Apply `steps` Gibbs transitions to cfg (vertex id -> spin) in place,
+    recording them. Each step reads only the local view of the vertex it
+    picks, so a short extension costs its steps, not the instance's size."""
     rand = rng.random
-    ids = comp.ids
+    ids = inst.vertex_ids()
     n = len(ids)
-    q = comp.q
-    phis, nbr, mats = comp.phis, comp.nbr_idx, comp.mats
+    qrange = range(inst.q)
     exp = math.exp
-    qrange = range(q)
     for _ in range(steps):
-        j = uniform_index(n, rand())
-        scores = phis[j][:]
-        for u_pos, mat in zip(nbr[j], mats[j]):
-            row = mat[cfg[u_pos]]
+        v = ids[uniform_index(n, rand())]
+        view = local_restriction(inst, v)
+        scores = list(view.phi)
+        # edge_phi is keyed in neighbour order: the sums run as in conditional.
+        for u, mat in view.edge_phi.items():
+            row = mat[cfg[u]]
             for c in qrange:
                 scores[c] += row[c]
         m = max(scores)
         if m == NEG_INF:
-            raise InfeasibleInstance(f"vertex {ids[j]}: every spin excluded")
+            raise InfeasibleInstance(f"vertex {v}: every spin excluded")
         c = categorical([exp(s - m) for s in scores], rand())
-        cfg[j] = c
-        verts.append(ids[j])
+        cfg[v] = c
+        verts.append(v)
         spins.append(c)
 
 
@@ -98,12 +100,11 @@ def fresh_run(
     n (eps/n)^(1/delta) <= eps, inside the promised accuracy, and fresh and
     updated logs share the law.
     """
-    comp = inst.compiled()
-    cfg = [start_spin(phi) for phi in comp.phis]
-    initial = dict(zip(comp.ids, cfg))
+    initial = {v: start_spin(inst.vertex_potential(v).weights)
+               for v in inst.vertex_ids()}
     verts: list[int] = []
     spins: list[int] = []
-    _advance(comp, cfg, T, rng, verts, spins)
+    _advance(inst, dict(initial), T, rng, verts, spins)
     return initial, verts, spins
 
 
@@ -123,7 +124,7 @@ def length_fix(
     """
     if new_T < 0:
         raise ValueError(f"new_T must be nonnegative, got {new_T}")
-    if set(log.vertex_ids()) != set(inst.vertex_ids()):
+    if log.vertex_ids() != inst.vertex_ids():
         raise GraphMismatch("log vertex set differs from instance vertex set")
     cur = log.length
     if new_T < cur:
@@ -132,11 +133,8 @@ def length_fix(
         return
     if new_T == cur:
         return
-    comp = inst.compiled()
-    final = log.final_config()
-    cfg = [final[v] for v in comp.ids]
     verts: list[int] = []
     spins: list[int] = []
-    _advance(comp, cfg, new_T - cur, rng, verts, spins)
+    _advance(inst, log.final_config(), new_T - cur, rng, verts, spins)
     for v, c in zip(verts, spins):
         log.insert(log.length + 1, v, c)

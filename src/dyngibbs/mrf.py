@@ -196,10 +196,14 @@ class MrfInstance:
     reference to its parent; ``instance_delta`` reads that record to compare a
     parent with its child in O(1), and ``validate_feasibility`` to
     re-check only the touched vertices.
+
+    Each instance caches the local views ``local_restriction`` builds, one per
+    vertex on first ask. A derived instance starts with none: a view is built
+    only where something reads it.
     """
 
     __slots__ = (
-        "domain", "_vertices", "_edges", "_adj", "_ids", "_ekeys", "_compiled",
+        "domain", "_vertices", "_edges", "_adj", "_ids", "_ekeys", "_views",
         "_token", "_origin", "_feas",
     )
 
@@ -244,7 +248,7 @@ class MrfInstance:
         self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
         self._ids = tuple(sorted(vdict))
         self._ekeys = tuple(sorted(edict))
-        self._compiled = None
+        self._views = {}
         self._token = object()
         self._origin = None
         self._feas = None
@@ -441,7 +445,7 @@ class MrfInstance:
         child._adj = adj
         child._ids = None if ids_changed else self._ids
         child._ekeys = None if keys_changed else self._ekeys
-        child._compiled = None
+        child._views = {}
         child._token = object()
         # The parent's token, not the parent: no instance keeps its parent alive.
         child._origin = (self._token, frozenset(named_v), frozenset(named_e))
@@ -459,38 +463,6 @@ class MrfInstance:
             )
         return child
 
-    # -- compiled accelerator --------------------------------------------------
-
-    def compiled(self) -> "_CompiledInstance":
-        """Dense-index accelerator for hot loops; built once per instance."""
-        c = self._compiled
-        if c is None:
-            c = _CompiledInstance(self)
-            self._compiled = c
-        return c
-
-
-class _CompiledInstance:
-    """Plain-list mirror of an instance for tight sampling loops."""
-
-    __slots__ = ("q", "ids", "index", "phis", "nbr_ids", "nbr_idx", "mats")
-
-    def __init__(self, inst: MrfInstance):
-        self.q = inst.q
-        self.ids = list(inst.vertex_ids())
-        self.index = {v: j for j, v in enumerate(self.ids)}
-        self.phis = [list(inst.vertex_potential(v).weights) for v in self.ids]
-        self.nbr_ids = []
-        self.nbr_idx = []
-        self.mats = []
-        for v in self.ids:
-            nbrs = inst.neighbors(v)
-            self.nbr_ids.append(list(nbrs))
-            self.nbr_idx.append([self.index[u] for u in nbrs])
-            self.mats.append(
-                [[list(row) for row in inst.edge_potential(u, v).weights] for u in nbrs]
-            )
-
 
 # ---------------------------------------------------------------------------
 # Local views and conditional marginals
@@ -498,7 +470,8 @@ class _CompiledInstance:
 
 @dataclass(frozen=True)
 class LocalView:
-    """Read-only restriction of an instance to one inclusive neighborhood."""
+    """Read-only restriction of an instance to one inclusive neighborhood;
+    edge_phi is keyed by neighbour, in the ascending order of neighbors."""
 
     vertex: int
     q: int
@@ -531,17 +504,24 @@ class LocalView:
 
 
 def local_restriction(inst: MrfInstance, v: int) -> LocalView:
-    """The restriction of the instance to v's inclusive neighborhood."""
-    if not inst.has_vertex(v):
-        raise UnknownVertex(f"vertex {v}")
-    nbrs = inst.neighbors(v)
-    return LocalView(
-        vertex=v,
-        q=inst.q,
-        phi=inst.vertex_potential(v).weights,
-        neighbors=nbrs,
-        edge_phi={u: inst.edge_potential(u, v).weights for u in nbrs},
-    )
+    """The restriction of the instance to v's inclusive neighborhood.
+
+    Built on first ask and cached on the instance, so every ask returns the
+    same object; do not mutate it (its edge_phi is a plain dict).
+    """
+    view = inst._views.get(v)
+    if view is None:
+        if not inst.has_vertex(v):
+            raise UnknownVertex(f"vertex {v}")
+        nbrs = inst.neighbors(v)
+        view = inst._views[v] = LocalView(
+            vertex=v,
+            q=inst.q,
+            phi=inst.vertex_potential(v).weights,
+            neighbors=nbrs,
+            edge_phi={u: inst.edge_potential(u, v).weights for u in nbrs},
+        )
+    return view
 
 
 def start_spin(weights: Sequence[float]) -> int:

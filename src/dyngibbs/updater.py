@@ -29,14 +29,14 @@ is ever regenerated.
 Cost model. An edit costs its footprint, not the size of the model. The plan
 resolves each phase once per batch, from the batch's own records, into a
 record every chain shares: its instance pair, the touched endpoints, the
-moved starts, the filter bounds or the vertex ids, and caches of the local
-views. That costs O(|batch| * Δ) plus C-level copies of the instance maps a
-phase changes, and a phase is valid by construction, so no chain re-checks
-it. The chains then only draw: a replay costs O(visits), takes the
-instance's adjacency mapping by reference, and builds each local view at
-most once per batch for the whole pool. A vertex phase rewrites each log
-once, O(n + T) per chain: it builds the new columns and reloads them, with
-no inner rank edits (see execlog).
+moved starts, the filter bounds or the vertex ids. That costs
+O(|batch| * Δ) plus C-level copies of the instance maps a phase changes,
+and a phase is valid by construction, so no chain re-checks it. The chains
+then only draw: a replay costs O(visits) and takes the instance's adjacency
+mapping by reference. Each instance caches its local views, so a view is
+built once per instance, on its first visit, for the whole pool. A vertex
+phase rewrites each log once, O(n + T) per chain: it builds the new columns
+and reloads them, with no inner rank edits (see execlog).
 
 Only the final instance is checked for feasibility, in O(|touched|) from
 the answer carried forward from the current instance. The replay's ends add
@@ -59,7 +59,6 @@ from .execlog import ExecutionLog
 from .inference import DiffEntry, SampleDiff, ScheduleFns
 from .mrf import (
     AddVertex,
-    LocalView,
     MrfInstance,
     UpdateBatch,
     instance_delta,
@@ -187,13 +186,6 @@ class _Replay:
             self.d_y.pop(v, None)
 
 
-def _view(cache: dict, inst: MrfInstance, v: int) -> LocalView:
-    view = cache.get(v)
-    if view is None:
-        view = cache[v] = local_restriction(inst, v)
-    return view
-
-
 def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps) -> int:
     """Replay the log from phase.before's law to phase.after's, in place;
     returns the number of ranks visited.
@@ -210,7 +202,6 @@ def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps) -> int:
     from the kernel mapping the old conditional onto the new one.
     """
     old, new = phase.before, phase.after
-    old_views, new_views = phase.old_views, phase.new_views
     touched, pbar = phase.touched, phase.pbar
     adj = old.adjacency()
     rp = _Replay(log, adj, touched)
@@ -237,14 +228,14 @@ def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps) -> int:
         x_new = tr.spin
         tp = t - 1
         if v in touched:
-            view_n = _view(new_views, new, v)
+            view_n = local_restriction(new, v)
             tau = {u: rp.yval(tp, u) for u in view_n.neighbors}
             y = categorical(view_n.conditional(tau), rand())
         else:
             nbrs = adj[v]
             tau = None
             if any(u in d_x for u in nbrs):
-                view_o = _view(old_views, old, v)
+                view_o = local_restriction(old, v)
                 sigma = {u: rp.xval(tp, u) for u in nbrs}
                 tau = {u: rp.yval(tp, u) for u in nbrs}
                 y = maximal_couple_conditional(
@@ -257,7 +248,7 @@ def _replay(phase: _Phase, log: ExecutionLog, rng, fsteps) -> int:
                 if tau is None:
                     tau = {u: rp.yval(tp, u) for u in nbrs}
                 kern = correction_kernel(
-                    _view(old_views, old, v), _view(new_views, new, v), tau
+                    local_restriction(old, v), local_restriction(new, v), tau
                 )
                 coin = rand()
                 if kern.nu is not None and coin * pbar[v] < kern.p[y]:
@@ -380,8 +371,9 @@ class _Phase:
     pbar: the filter bounds of the vertices named by potential edits, less
         the touched ones, which are redrawn fresh anyway (replay).
     vertices: the ids added or removed, ascending (vertex phases).
-    old_views, new_views: local views of before and after, filled lazily
-        and shared by every chain's replay.
+
+    The local views come from before and after themselves, which cache them,
+    so every chain's replay shares them.
     """
 
     name: str
@@ -391,8 +383,6 @@ class _Phase:
     starts: tuple = ()
     pbar: Mapping[int, float] = field(default_factory=dict)
     vertices: tuple = ()
-    old_views: dict = field(default_factory=dict)
-    new_views: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -463,16 +453,13 @@ def plan_update(
     if added:
         phases.append(_Phase("add_vertices", inst, start, vertices=tuple(added)))
     if replay:
-        old_views: dict = {}
-        new_views: dict = {}
         pbar: dict[int, float] = {}
         for v in sorted(named - touched):
-            pv = p_up(_view(old_views, start, v), _view(new_views, end, v))
+            pv = p_up(local_restriction(start, v), local_restriction(end, v))
             if pv > 0.0:
                 pbar[v] = pv
         phases.append(_Phase("replay", start, end, touched=frozenset(touched),
-                             starts=tuple(starts), pbar=pbar,
-                             old_views=old_views, new_views=new_views))
+                             starts=tuple(starts), pbar=pbar))
     if doomed:
         phases.append(_Phase("delete_vertices", end, final, vertices=tuple(doomed)))
     return _UpdatePlan(final, target, tuple(phases))

@@ -147,7 +147,8 @@ class TestExitCodes:
 
     def test_parse(self, workdir):
         # Invalid JSON, then valid JSON of the wrong shape: a vertex record,
-        # an op, an op's phi and a query that are numbers, and vertex ids
+        # an op, an op's phi and a query that are numbers, vertex ids that
+        # are strings, booleans, floats or outside 64 bits, and query spins
         # that are strings or booleans.
         originals = {"inst.json": json.dumps(INSTANCE), "updates.jsonl": UPDATES,
                      "queries.json": json.dumps(QUERIES)}
@@ -163,6 +164,14 @@ class TestExitCodes:
             ("inst.json", json.dumps(dict(INSTANCE, edges=[{"u": 0, "v": True,
                                                             "phi": [[0, 0], [0, 0]]}]))),
             ("queries.json", json.dumps(QUERIES + [7])),
+            ("queries.json", json.dumps([{"kind": "marginal", "a": [True]}])),
+            ("queries.json", json.dumps([{"kind": "marginal", "a": [1.0]}])),
+            ("queries.json", json.dumps([{"kind": "posterior", "a": [2], "b": [4],
+                                          "tau_b": ["x"]}])),
+            ("queries.json", json.dumps([{"kind": "posterior", "a": [2], "b": [4],
+                                          "tau_b": [False]}])),
+            ("inst.json", json.dumps(dict(INSTANCE, vertices=INSTANCE["vertices"]
+                                          + [{"id": 1 << 63, "phi": [0, 0]}]))),
         ]
         for name, text in cases:
             (workdir / name).write_text(text)

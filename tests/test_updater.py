@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from dyngibbs import updater
-from dyngibbs.engine import ChainParams, run_chain
+from dyngibbs import mrf, updater
+from dyngibbs.engine import ChainParams, length_fix, run_chain
 from dyngibbs.errors import DegreeTooLarge, InfeasibleInstance
 from dyngibbs.inference import PowerLogFn, ScheduleFns, sample_diff
 from dyngibbs.models import (
@@ -485,6 +485,37 @@ def test_update_cost_follows_footprint_not_n():
             f"at n=10^3 ({large_visits} vs {small_visits} visits)")
 
 
+def _length_fix_line_events(n):
+    """Line events of a 10-step length_fix extension on a child derived by
+    one edge-potential edit, after a chain with T = 3n on the parent."""
+    inst = ising_instance(n, _ring_plus_matching(n), 0.1)
+    log = run_chain(inst, params(3 * n, seed=5, delta=1.0))
+    child = inst.apply_batch(UpdateBatch([SetEdgePotential(7, 8, ising_edge(0.12))]))
+    rng = make_stream(5, update_stream(0, 0))
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
+    sys.settrace(count_lines)
+    try:
+        length_fix(child, log, log.length + 10, rng)
+    finally:
+        sys.settrace(None)
+    assert log.length == 3 * n + 10
+    return lines
+
+
+def test_length_fix_cost_follows_footprint_not_n():
+    # Extending a chain on a new instance reads only the local views of the
+    # vertices it visits, never a whole-instance structure.
+    small, large = _length_fix_line_events(1_000), _length_fix_line_events(10_000)
+    assert large < 2 * small, f"{large} line events at n=10^4 vs {small} at n=10^3"
+
+
 def _edit_batches(n, count, rng):
     """Batches shaped like the edit benchmark's: four vertex fields, one edge
     coupling and a 2-edge rewire of the perfect matching each."""
@@ -522,16 +553,25 @@ class TestReplayBytes:
     SHA256 = "77dd32c13a3fa547a8a23a371f0b62d63f9d6c4534483274006f89f7477f1c5e"
 
     def test_edit_batches_at_scale(self, monkeypatch):
-        # The plan builds each phase's local views once for the whole pool:
-        # no batch asks twice for the same (instance, vertex).
-        asked = []
-        build = updater.local_restriction
+        # Each instance caches its local views, so the whole pool shares
+        # them: no batch builds a view of the same (instance, vertex) twice.
+        # `built` keeps every view alive, so no two share an id.
+        built = []
+        owner = {}
+        build, ask = mrf.LocalView, updater.local_restriction
 
-        def counted(inst, v):
-            asked.append((id(inst), v))
-            return build(inst, v)
+        def counted_build(**fields):
+            view = build(**fields)
+            built.append(view)
+            return view
 
-        monkeypatch.setattr(updater, "local_restriction", counted)
+        def counted_ask(inst, v):
+            view = ask(inst, v)
+            owner[id(view)] = (id(inst), v)
+            return view
+
+        monkeypatch.setattr(mrf, "LocalView", counted_build)
+        monkeypatch.setattr(updater, "local_restriction", counted_ask)
         n = 400
         inst = ising_instance(n, _ring_plus_matching(n), 0.1)
         sched = ScheduleFns(n_samples=PowerLogFn(6.0, 0.0, 0.0),
@@ -543,9 +583,11 @@ class TestReplayBytes:
         batches[0] = UpdateBatch(list(batches[0]) + [shift])
         digest = hashlib.sha256()
         for batch in batches:
-            asked.clear()
+            built.clear()
+            owner.clear()
             _, metrics = apply_update_multi(cs, batch)
-            assert asked and len(set(asked)) == len(asked)
+            pairs = [owner[id(view)] for view in built]
+            assert pairs and len(set(pairs)) == len(pairs)
             for m, log in zip(metrics, cs.logs):
                 digest.update(repr((m.r_ham, m.r_graph, m.filter_size)).encode())
                 digest.update(repr([(t.vertex, t.spin)
