@@ -249,13 +249,19 @@ def parse_update_stream(path) -> list[UpdateBatch]:
     return batches
 
 
-def _check_spin(c) -> int:
+def _check_spin(c, q: Optional[int] = None) -> int:
     if not isinstance(c, int) or isinstance(c, bool):
         raise TypeError(f"spin must be an int, got {type(c).__name__}")
+    if c < 0:
+        raise ValueError(f"spin {c} is negative")
+    if q is not None and c >= q:
+        raise ValueError(f"spin {c} outside 0..{q - 1}")
     return c
 
 
-def parse_queries(path) -> list[tuple[str, Query]]:
+def parse_queries(path, q: Optional[int] = None) -> list[tuple[str, Query]]:
+    """Parse a JSON array of queries. Spins must be non-negative, and below q
+    when q is given."""
     try:
         docs = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -272,7 +278,7 @@ def parse_queries(path) -> list[tuple[str, Query]]:
                 rec.get("kind"),
                 tuple(_check_id(v) for v in rec.get("a", ())),
                 tuple(_check_id(v) for v in rec.get("b", ())),
-                tuple(_check_spin(c) for c in rec["tau_b"]) if "tau_b" in rec else None,
+                tuple(_check_spin(c, q) for c in rec["tau_b"]) if "tau_b" in rec else None,
                 cap=rec.get("cap", 3),
             )
         except (TypeError, ValueError) as e:
@@ -409,7 +415,7 @@ def _emit_estimates(fh, step: int, states: dict) -> None:
 
 def cmd_run(cfg: RunConfig) -> int:
     inst, sched, params, batches, out = _prepare(cfg)
-    queries = parse_queries(cfg.queries) if cfg.queries else []
+    queries = parse_queries(cfg.queries, inst.q) if cfg.queries else []
     cs = new_chain_set(inst, params, sched)
     states = {qid: rebuild(cs.samples(), query, inst.q) for qid, query in queries}
     with (out / "estimates.jsonl").open("w") as fh:

@@ -18,7 +18,8 @@ vertices, T transitions and k ranks on the queried vertex:
   insert at T + 1, remove at T      O(1)
   insert / remove at an inner rank  O(n + T): the columns shift at C level,
                                     and every vertex's later ranks move by one
-  load_run                          O(n + T): every rank list is rebuilt
+  load_run                          O(n + T): every rank list is rebuilt;
+                                    only changed final spins are journalled
 
 Spin changes dominate the dynamic updates and never move a rank. The updater
 makes no inner rank edits: a vertex phase copies the columns, edits the copies
@@ -98,6 +99,9 @@ class ExecutionLog:
         The log takes ownership of the two column lists; the caller must not
         use them afterwards. Journal-aware: an open journal sees every
         final-config change, so a reload still yields a correct sample diff.
+        Only the vertices whose final spin changes, and the removed ones, are
+        written, so the journal holds the reload's footprint on the sample,
+        not all n vertices.
         """
         old_vertices = set(self._initial)
         self._initial = dict(initial)
@@ -108,9 +112,12 @@ class ExecutionLog:
             self._ranks[v].append(i + 1)
         for v in old_vertices - set(self._initial):
             self._jdel(v)
+        final = self._final
         for v, c0 in self._initial.items():
             rs = self._ranks[v]
-            self._jset(v, spins[rs[-1] - 1] if rs else c0)
+            c = spins[rs[-1] - 1] if rs else c0
+            if final.get(v) != c:
+                self._jset(v, c)
 
     # -- size and iteration ---------------------------------------------------
 

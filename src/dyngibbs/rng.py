@@ -6,7 +6,8 @@ that every chain, update, and benchmark is reproducible from (seed, stream).
 Conventions, relied on throughout:
 
 * ``make_stream(seed, stream)`` keys a Philox generator with the two 64-bit
-  words (seed, stream).
+  words (seed, stream); ``rekey(rng, seed, stream)`` turns an existing one
+  into the same stream, which is cheaper than building a new generator.
 * Every random decision consumes exactly one ``Generator.random()`` float64
   uniform. Categorical draws use inverse-CDF over ascending spin index.
 * A Gibbs step consumes its uniforms in the order: vertex pick, spin draw.
@@ -32,6 +33,7 @@ import numpy as np
 
 __all__ = [
     "make_stream",
+    "rekey",
     "uniform_index",
     "categorical",
     "geometric_skip",
@@ -78,6 +80,27 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rekey(rng: np.random.Generator, seed: int, stream: int = 0) -> np.random.Generator:
+    """Reset a Philox generator to the start of (seed, stream), in place.
+
+    Whatever rng drew before, it then draws exactly what
+    ``make_stream(seed, stream)`` would: counter 0, no buffered words.
+    Returns rng.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def uniform_index(n: int, u: float) -> int:

@@ -71,6 +71,7 @@ from .rng import (
     categorical,
     geometric_skip,
     make_stream,
+    rekey,
     uniform_index,
     update_stream,
 )
@@ -550,8 +551,8 @@ def new_chain_set(
     )
 
 
-def _update_one_chain(plan, log, seed, epoch, i):
-    rng = make_stream(seed, update_stream(epoch, i))
+def _update_one_chain(plan, log, rng, seed, epoch, i):
+    rekey(rng, seed, update_stream(epoch, i))
     log.begin_final_journal()
     met = execute_update(plan, log, rng)
     journal = log.take_final_journal()
@@ -581,11 +582,16 @@ def apply_update_multi(
     included.
 
     Costs O(|batch| * Δ) for the plan plus, per chain, O(visits) and
-    O(n + T) for each vertex phase, which rewrites the log once. Returns the
-    exact diff of the pool's sample set, assembled from each log's
-    final-config journal, so downstream estimators never rescan whole
-    configurations.
-    Chains are updated one after another in chain order.
+    O(n + T) for each vertex phase, which rewrites the log once. One Philox
+    generator serves the pool: each chain re-keys it to its own update
+    stream, which draws what a new generator would. Returns the exact diff
+    of the pool's sample set, assembled from each log's final-config
+    journal, which holds only the vertices whose final spin changed, so
+    downstream estimators never rescan whole configurations.
+    Chains are updated one after another in chain order. The influence
+    check under ``--delta check`` is not part of this call: the caller runs
+    it on cs.inst afterwards, and it costs O(|touched|) there (see
+    mrf.dobrushin_check).
     """
     plan = plan_update(cs.inst, batch, cs.params)
     rep = validate_feasibility(plan.final)
@@ -597,8 +603,9 @@ def apply_update_multi(
     entries: list[DiffEntry] = []
     metrics: list[UpdateMetrics] = []
     seed, epoch = cs.params.seed, cs.epoch
+    rng = make_stream(seed)  # one generator, re-keyed for each chain
     for i, log in enumerate(cs.logs):
-        chain_entries, met = _update_one_chain(plan, log, seed, epoch, i)
+        chain_entries, met = _update_one_chain(plan, log, rng, seed, epoch, i)
         entries.extend(chain_entries)
         metrics.append(met)
     cs.inst = plan.final

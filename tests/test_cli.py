@@ -149,7 +149,7 @@ class TestExitCodes:
         # Invalid JSON, then valid JSON of the wrong shape: a vertex record,
         # an op, an op's phi and a query that are numbers, vertex ids that
         # are strings, booleans, floats or outside 64 bits, and query spins
-        # that are strings or booleans.
+        # that are strings, booleans, negative or not below q.
         originals = {"inst.json": json.dumps(INSTANCE), "updates.jsonl": UPDATES,
                      "queries.json": json.dumps(QUERIES)}
         cases = [
@@ -170,6 +170,10 @@ class TestExitCodes:
                                           "tau_b": ["x"]}])),
             ("queries.json", json.dumps([{"kind": "posterior", "a": [2], "b": [4],
                                           "tau_b": [False]}])),
+            ("queries.json", json.dumps([{"kind": "posterior", "a": [0], "b": [1],
+                                          "tau_b": [5]}])),
+            ("queries.json", json.dumps([{"kind": "posterior", "a": [0], "b": [1],
+                                          "tau_b": [-1]}])),
             ("inst.json", json.dumps(dict(INSTANCE, vertices=INSTANCE["vertices"]
                                           + [{"id": 1 << 63, "phi": [0, 0]}]))),
         ]

@@ -1,11 +1,13 @@
 """Instance model: potentials, batches, feasibility, influence."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyngibbs import mrf
 from dyngibbs.errors import (
     DegreeTooLarge,
     InfeasibleNeighborhood,
@@ -29,6 +31,14 @@ from dyngibbs.mrf import (
     dobrushin_check,
     local_restriction,
     validate_feasibility,
+)
+from dyngibbs.models import (
+    hardcore_edge,
+    hardcore_instance,
+    hardcore_vertex,
+    ising_edge,
+    ising_instance,
+    ising_vertex,
 )
 
 
@@ -226,3 +236,107 @@ class TestDobrushin:
         inst = MrfInstance(SpinDomain(3), {0: VertexPotential([0.0, 1.0, 2.0])}, {})
         rep = dobrushin_check(inst)
         assert rep.satisfied and rep.delta == 1.0
+
+    def test_incremental_check_is_bit_identical_to_a_full_scan(self):
+        # Every third batch goes unchecked, so touched vertices pile up as
+        # pending across batches before the next check.
+        for family, n in (("hardcore", 24), ("ising", 24)):
+            rnd = random.Random(family)
+            ring = [(i, i + 1) for i in range(n - 1)]
+            if family == "hardcore":
+                inst = hardcore_instance(n, ring, 0.2)
+                vertex = lambda: hardcore_vertex(rnd.uniform(0.05, 0.4))
+                edge = hardcore_edge
+            else:
+                inst = ising_instance(n, ring, 0.2)
+                vertex = lambda: ising_vertex(rnd.uniform(-0.3, 0.3))
+                edge = lambda: ising_edge(rnd.uniform(0.05, 0.3))
+            dobrushin_check(inst)
+            checked = 0
+            for k, inst in enumerate(_churn(inst, vertex, edge, 100, rnd)):
+                if k % 3 == 2:
+                    continue
+                got, want = dobrushin_check(inst), dobrushin_check(_rebuilt(inst))
+                assert got.delta == want.delta, (family, k)
+                assert dict(got.row_sums) == dict(want.row_sums), (family, k)
+                assert dict(want.row_sums) == _full_scan_rows(inst), (family, k)
+                checked += 1
+            assert checked == 67
+
+    def test_checking_a_child_leaves_the_parent_report_alone(self):
+        parent = ising_instance(6, [(i, i + 1) for i in range(5)], 0.2)
+        rep = dobrushin_check(parent)
+        rows, delta = dict(rep.row_sums), rep.delta
+        child = parent.apply_batch(UpdateBatch([
+            SetEdgePotential(2, 3, EdgePotential([[0.9, -0.9], [-0.9, 0.9]])),
+            AddEdge(0, 5, EdgePotential([[0.5, -0.5], [-0.5, 0.5]]))]))
+        assert dobrushin_check(child).delta < delta
+        again = dobrushin_check(parent)
+        assert again is rep
+        assert dict(again.row_sums) == rows and again.delta == delta
+        with pytest.raises(TypeError):
+            rep.row_sums[0] = 0.0  # read-only: the cache stays intact
+
+    def test_over_cap_child_raises_and_a_later_fix_recovers(self):
+        n = 12
+        inst = hardcore_instance(n, [(i, i + 1) for i in range(n - 1)], 0.1)
+        dobrushin_check(inst, degree_cap=4)
+        hub = inst.apply_batch(UpdateBatch(
+            [AddEdge(0, v, hardcore_edge()) for v in range(2, 7)]))
+        with pytest.raises(DegreeTooLarge):
+            dobrushin_check(hub, degree_cap=4)
+        fixed = hub.apply_batch(UpdateBatch([DeleteEdge(0, 6), DeleteEdge(0, 5)]))
+        got = dobrushin_check(fixed, degree_cap=4)
+        want = dobrushin_check(_rebuilt(fixed), degree_cap=4)
+        assert got.delta == want.delta
+        assert dict(got.row_sums) == dict(want.row_sums)
+
+
+def _rebuilt(inst):
+    """A freshly constructed copy, which carries no influence state."""
+    return MrfInstance(
+        inst.domain,
+        {v: inst.vertex_potential(v) for v in inst.vertex_ids()},
+        {k: inst.edge_potential(*k) for k in inst.edge_keys()},
+    )
+
+
+def _full_scan_rows(inst):
+    """Row sums accumulated as a one-pass scan adds them: centres v in
+    ascending order, each adding A(u, v) to the row of every neighbour u."""
+    rows = dict.fromkeys(inst.vertex_ids(), 0.0)
+    for v in inst.vertex_ids():
+        for u, a in zip(inst.neighbors(v), mrf._influences(inst, v)):
+            rows[u] += a
+    return rows
+
+
+def _churn(inst, vertex, edge, count, rnd):
+    """The instances derived by count random batches, one after another: a
+    vertex added and attached, a vertex detached and deleted, potential
+    edits, or an edge added or deleted, with no degree above 5."""
+    fresh = max(inst.vertex_ids()) + 1
+    for _ in range(count):
+        ids = inst.vertex_ids()
+        kind = rnd.randrange(4)
+        if kind == 0:
+            anchor = rnd.choice([v for v in ids if inst.degree(v) < 5])
+            recs = [AddVertex(fresh, vertex()), AddEdge(fresh, anchor, edge())]
+            fresh += 1
+        elif kind == 1:
+            v = rnd.choice(ids)
+            recs = [DeleteEdge(v, u) for u in inst.neighbors(v)] + [DeleteVertex(v)]
+        elif kind == 2:
+            recs = [SetVertexPotential(rnd.choice(ids), vertex())]
+            if inst.edge_keys():
+                recs.append(SetEdgePotential(*rnd.choice(inst.edge_keys()), edge()))
+        else:
+            u, w = rnd.sample(ids, 2)
+            if inst.has_edge(u, w):
+                recs = [DeleteEdge(u, w)]
+            elif inst.degree(u) < 5 and inst.degree(w) < 5:
+                recs = [AddEdge(u, w, edge())]
+            else:
+                recs = [SetVertexPotential(u, vertex())]
+        inst = inst.apply_batch(UpdateBatch(recs))
+        yield inst

@@ -10,6 +10,8 @@ from dyngibbs.rng import (
     UPDATE_STREAM_OFFSET,
     VERIFY_FRESH_STREAM_OFFSET,
     VERIFY_UPDATE_STREAM_OFFSET,
+    make_stream,
+    rekey,
     update_stream,
 )
 
@@ -58,3 +60,19 @@ def test_update_stream_refuses_to_leave_its_range():
             update_stream(epoch, chain)
     # the last chain of an epoch and the first of the next stay distinct
     assert update_stream(0, MAX_CHAIN) + 1 == update_stream(1, 0)
+
+
+def _mixed_draws(rng, count=13):
+    # Alternate float64 uniforms with 32-bit integers, which use half a
+    # buffered 64-bit word, so leftover buffer state would show.
+    return [rng.random() if k % 3 else int(rng.integers(0, 1000, dtype="int32"))
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("seed, stream", [(1, 2), (2**64 - 1, 2**63 + 5), (0, 0)])
+def test_rekey_draws_what_a_new_stream_draws(seed, stream):
+    rng = make_stream(7, 9)
+    rng.random()
+    rng.integers(0, 10, dtype="int32")  # leaves half a word buffered
+    assert rekey(rng, seed, stream) is rng
+    assert _mixed_draws(rng) == _mixed_draws(make_stream(seed, stream))

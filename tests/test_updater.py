@@ -289,6 +289,33 @@ class TestWorkAccounting:
         assert met.wall_time > 0
 
 
+def test_vertex_phases_journal_only_changed_finals():
+    # A vertex phase reloads the whole log, but its journal holds only the
+    # vertices whose final spin changed and the ones added or removed.
+    n = 40
+    inst = ising_instance(n, _ring_plus_matching(n), 0.3)
+    p = params(10 * n, seed=3)
+    log = run_chain(inst, p)
+    born = (n, n + 1)
+    for batch in (UpdateBatch([AddVertex(v, ising_vertex(0.2)) for v in born]),
+                  UpdateBatch([DeleteVertex(v) for v in born])):
+        plan = plan_update(inst, batch, p)
+        (phase,) = plan.phases
+        before = log.final_config()
+        log.begin_final_journal()
+        if phase.name == "add_vertices":
+            updater.add_vertices(phase, log, make_stream(3, update_stream(0, 0)))
+        else:
+            updater.delete_vertices(phase, log)
+        journal = log.take_final_journal()
+        after = log.final_config()
+        changed = {v for v in before.keys() | after.keys()
+                   if before.get(v) != after.get(v)}
+        assert set(journal) == changed | set(phase.vertices), phase.name
+        assert len(journal) < n
+        inst = plan.final
+
+
 class TestChainPool:
     def schedule(self, count):
         return ScheduleFns(n_samples=PowerLogFn(float(count), 0.0, 0.0),
@@ -513,6 +540,37 @@ def test_length_fix_cost_follows_footprint_not_n():
     # Extending a chain on a new instance reads only the local views of the
     # vertices it visits, never a whole-instance structure.
     small, large = _length_fix_line_events(1_000), _length_fix_line_events(10_000)
+    assert large < 2 * small, f"{large} line events at n=10^4 vs {small} at n=10^3"
+
+
+def _influence_check_line_events(n):
+    """Line events of the influence check on a child derived by adding a
+    vertex and attaching it, after a check of its hardcore parent."""
+    inst = hardcore_instance(n, _ring_plus_matching(n), 0.2)
+    mrf.dobrushin_check(inst)  # as `dyngibbs run --delta check` does on loading
+    child = inst.apply_batch(UpdateBatch([AddVertex(n, hardcore_vertex(0.2)),
+                                          AddEdge(n, 7, hardcore_edge())]))
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
+    sys.settrace(count_lines)
+    try:
+        rep = mrf.dobrushin_check(child)
+    finally:
+        sys.settrace(None)
+    assert rep.row_sums[7] > 0.0 and n in rep.row_sums
+    return lines
+
+
+def test_influence_check_cost_follows_footprint_not_n():
+    # The check re-enumerates only the centres the batch touched, from the
+    # entries the parent's check left on the instance.
+    small, large = _influence_check_line_events(1_000), _influence_check_line_events(10_000)
     assert large < 2 * small, f"{large} line events at n=10^4 vs {small} at n=10^3"
 
 
