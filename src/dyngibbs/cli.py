@@ -450,9 +450,11 @@ def cmd_bench(cfg: RunConfig) -> int:
     bench_stream = BENCH_STREAM_OFFSET
     total_dyn = total_base = 0.0
     for step, batch in enumerate(batches, 1):
+        stream = cs.next_stream
         t0 = time.perf_counter()
         diff, metrics = apply_update_multi(cs, batch)
         dyn = time.perf_counter() - t0
+        fresh = cs.next_stream - stream
         _refresh_delta(cs, cfg.delta)
         t0 = time.perf_counter()
         for _ in range(len(cs.logs)):
@@ -472,6 +474,9 @@ def cmd_bench(cfg: RunConfig) -> int:
                 "filter_size": sum(m.filter_size for m in metrics),
                 "diff_d": diff.d,
                 "regenerated_chains": sum(1 for m in metrics if m.regenerated),
+                "restored_chains": len(diff.added_chains) - fresh,
+                "fresh_chains": fresh,
+                "parked_chains": len(cs.parked),
                 "chains": len(cs.logs),
                 "chain_length": cs.logs[0].length if cs.logs else 0,
                 "n": cs.inst.n,

@@ -36,7 +36,9 @@ then only draw: a replay costs O(visits) and takes the instance's adjacency
 mapping by reference. Each instance caches its local views, so a view is
 built once per instance, on its first visit, for the whole pool. A vertex
 phase rewrites each log once, O(n + T) per chain: it builds the new columns
-and reloads them, with no inner rank edits (see execlog).
+and reloads them, with no inner rank edits (see execlog). A pool that shrinks
+parks its tail chains and restores them when it grows again, so a fresh
+O(T) run is drawn only when no parked chain is left (see ChainSet).
 
 Only the final instance is checked for feasibility, in O(|touched|) from
 the answer carried forward from the current instance. The replay's ends add
@@ -514,14 +516,26 @@ def apply_update(
 # Chain pools
 # ---------------------------------------------------------------------------
 
+# After a shrink, at most this share of the new count stays parked, and at
+# least one chain; apply_update_multi drops the highest indices beyond it.
+PARKED_SHARE = 0.1
+
+
 @dataclass
 class ChainSet:
     """The maintained pool of independent chains for one evolving instance.
 
     Chain identity is positional: resizing only ever pops from or appends to
-    the tail, so surviving chains keep their indices across updates. Stream
-    ids never repeat: fresh chains take consecutive baseline streams, update
-    draws take (epoch, chain)-keyed streams from a disjoint range.
+    the tail, so surviving chains keep their indices across updates. A chain
+    popped on a shrink is parked, not discarded: parked[k] holds chain index
+    len(logs) + k, so the parked chains continue the tail without gaps. A
+    parked chain is updated with every batch like an active one, is never in
+    samples(), and is restored, lowest index first, when the count grows.
+
+    Stream ids never repeat: fresh chains take consecutive baseline streams,
+    update draws take (epoch, chain)-keyed streams from a disjoint range. A
+    parked chain keeps drawing on its own index's keys, so it is bit for bit
+    the chain that a pool whose count never dropped would hold at that index.
     """
 
     inst: MrfInstance
@@ -530,6 +544,7 @@ class ChainSet:
     schedule: ScheduleFns
     next_stream: int
     epoch: int = 0
+    parked: list[ExecutionLog] = field(default_factory=list)
 
     def samples(self) -> dict[int, dict[int, int]]:
         return {i: log.final_config() for i, log in enumerate(self.logs)}
@@ -569,26 +584,39 @@ def _update_one_chain(plan, log, rng, seed, epoch, i):
 def apply_update_multi(
     cs: ChainSet, batch: UpdateBatch
 ) -> tuple[SampleDiff, list[UpdateMetrics]]:
-    """Update every chain in the pool and resize it to the new sample count.
+    """Update every chain in the pool, active and parked, and resize it to
+    the new sample count.
 
     All or nothing on infeasible batches: the planned instance is checked
     in O(|touched|) with the answer carried forward from cs.inst, before any
-    chain is touched, and InfeasibleInstance leaves the pool, its instance,
-    epoch and stream counter as they were. So does DegreeTooLarge, raised
-    when a vertex the check must enumerate is over the cap. Every phase's
-    instance is feasible when cs.inst and the planned one are (see the
-    module docstring), so a batch is accepted whenever its end is feasible,
-    -inf potential edits that rely on an edge deletion of the same batch
-    included.
+    chain is touched, and InfeasibleInstance leaves the pool (its parked
+    chains included), its instance, epoch and stream counter as they were.
+    So does DegreeTooLarge, raised when a vertex the check must enumerate is
+    over the cap. Every phase's instance is feasible when cs.inst and the
+    planned one are (see the module docstring), so a batch is accepted
+    whenever its end is feasible, -inf potential edits that rely on an edge
+    deletion of the same batch included.
 
-    Costs O(|batch| * Δ) for the plan plus, per chain, O(visits) and
-    O(n + T) for each vertex phase, which rewrites the log once. One Philox
-    generator serves the pool: each chain re-keys it to its own update
-    stream, which draws what a new generator would. Returns the exact diff
-    of the pool's sample set, assembled from each log's final-config
-    journal, which holds only the vertices whose final spin changed, so
-    downstream estimators never rescan whole configurations.
-    Chains are updated one after another in chain order. The influence
+    Costs O(|batch| * Δ) for the plan plus, per chain, parked ones
+    included, O(visits) and O(n + T) for each vertex phase, which rewrites
+    the log once. One Philox generator serves the pool: each chain re-keys
+    it to its own update stream, which draws what a new generator would.
+    Chains are updated one after another in index order, so the parked ones
+    come last, and metrics holds one entry per updated chain in that order.
+
+    Then the pool is resized. A shrink parks the popped tail chains, keeping
+    at most max(1, ceil(PARKED_SHARE * count)) of them, lowest indices
+    first. A growth restores parked chains first, which costs no steps and
+    leaves next_stream alone, and runs a fresh run_chain (O(T)) on the next
+    baseline stream only for each index no parked chain is left for. The
+    count's changes depend only on n, never on a chain's draws, so a
+    restored chain is distributed as a fresh run, like every other chain.
+
+    Returns the exact diff of the active pool's sample set, assembled from
+    each active log's final-config journal, which holds only the vertices
+    whose final spin changed, so downstream estimators never rescan whole
+    configurations. A parked or restored chain enters it as a removal or
+    addition of its whole final configuration. The influence
     check under ``--delta check`` is not part of this call: the caller runs
     it on cs.inst afterwards, and it costs O(|touched|) there (see
     mrf.dobrushin_check).
@@ -608,24 +636,34 @@ def apply_update_multi(
         chain_entries, met = _update_one_chain(plan, log, rng, seed, epoch, i)
         entries.extend(chain_entries)
         metrics.append(met)
+    # A parked chain is in no sample, so it keeps no journal.
+    for i, log in enumerate(cs.parked, len(cs.logs)):
+        rekey(rng, seed, update_stream(epoch, i))
+        metrics.append(execute_update(plan, log, rng))
     cs.inst = plan.final
     cs.epoch += 1
     count = cs.schedule.sample_count(plan.final.n)
     removed: list[int] = []
     added: list[int] = []
-    while len(cs.logs) > count:
-        dead = cs.logs.pop()
-        i = len(cs.logs)
-        removed.append(i)
-        for v, c in sorted(dead.final_config().items()):
-            entries.append(DiffEntry(i, v, c, None))
+    if len(cs.logs) > count:
+        while len(cs.logs) > count:
+            dead = cs.logs.pop()
+            i = len(cs.logs)
+            removed.append(i)
+            for v, c in sorted(dead.final_config().items()):
+                entries.append(DiffEntry(i, v, c, None))
+            cs.parked.insert(0, dead)
+        del cs.parked[max(1, math.ceil(PARKED_SHARE * count)):]
     while len(cs.logs) < count:
         i = len(cs.logs)
-        fresh = run_chain(plan.final, cs.params, cs.next_stream)
-        cs.next_stream += 1
-        cs.logs.append(fresh)
+        if cs.parked:
+            log = cs.parked.pop(0)
+        else:
+            log = run_chain(plan.final, cs.params, cs.next_stream)
+            cs.next_stream += 1
+        cs.logs.append(log)
         added.append(i)
-        for v, c in sorted(fresh.final_config().items()):
+        for v, c in sorted(log.final_config().items()):
             entries.append(DiffEntry(i, v, None, c))
     return (
         SampleDiff(

@@ -242,9 +242,31 @@ class TestBench:
         assert len(report["updates"]) == 2
         row = report["updates"][0]
         for key in ("dynamic_s", "baseline_s", "ratio", "r_ham", "r_graph",
-                    "filter_size", "diff_d", "chains", "n"):
+                    "filter_size", "diff_d", "restored_chains", "fresh_chains",
+                    "parked_chains", "chains", "n"):
             assert key in row
         assert report["totals"]["dynamic_s"] > 0
+
+    def test_rows_tell_a_restore_from_a_fresh_chain(self, workdir):
+        # The pool holds n chains: deleting vertex 4 parks chain 4, adding
+        # vertex 7 restores it, adding vertex 8 draws chain 5 fresh, and
+        # deleting it parks chain 5, which samples.json leaves out.
+        (workdir / "updates.jsonl").write_text(
+            '{"ops":[{"op":"del_edge","u":3,"v":4},{"op":"del_vertex","v":4}]}\n'
+            '{"ops":[{"op":"add_vertex","v":7,"phi":[0.0,0.0]}]}\n'
+            '{"ops":[{"op":"add_vertex","v":8,"phi":[0.0,0.0]}]}\n'
+            '{"ops":[{"op":"del_vertex","v":8}]}\n')
+        schedule = {"--schedule": "N=1:1:0,eps=0.2:0:0"}
+        args = run_args(workdir, out="bench", **schedule)
+        args[0] = "bench"
+        assert cli.main(args) == 0
+        report = json.loads((workdir / "bench" / "bench.json").read_text())
+        assert [(r["restored_chains"], r["fresh_chains"], r["parked_chains"],
+                 r["chains"]) for r in report["updates"]] \
+            == [(0, 0, 1, 4), (1, 0, 0, 5), (0, 1, 0, 6), (0, 0, 1, 5)]
+        assert cli.main(run_args(workdir, **schedule)) == 0
+        samples = json.loads((workdir / "out" / "samples.json").read_text())
+        assert samples["n_chains"] == len(samples["configs"]) == 5
 
 
 class TestGolden:

@@ -368,24 +368,103 @@ class TestChainPool:
         assert len(cs.logs) == 4
         grow = UpdateBatch([AddVertex(9, VertexPotential((0.0, 0.0))),
                             AddVertex(10, VertexPotential((0.0, 0.0)))])
+        stream = cs.next_stream
         diff, _ = apply_update_multi(cs, grow)
         assert len(cs.logs) == 6
         assert diff.added_chains == (4, 5)
+        assert cs.next_stream == stream + 2
+        # Shrinking to 4 parks at most max(1, ceil(0.4)) = 1 chain: chain 4
+        # is parked, chain 5 is dropped.
+        chain4 = cs.logs[4]
         shrink = UpdateBatch([DeleteVertex(9), DeleteVertex(10)])
-        diff, _ = apply_update_multi(cs, shrink)
+        diff, metrics = apply_update_multi(cs, shrink)
         assert len(cs.logs) == 4
         assert diff.removed_chains == (4, 5)
+        assert len(metrics) == 6
+        assert len(cs.parked) == 1 and cs.parked[0] is chain4
+        assert 4 not in cs.samples()
+        # Growing back restores chain 4 with no new stream and draws chain 5
+        # fresh on the next baseline stream.
+        stream = cs.next_stream
+        diff, metrics = apply_update_multi(cs, grow)
+        assert len(metrics) == 5
+        assert diff.added_chains == (4, 5)
+        assert cs.logs[4] is chain4 and cs.parked == []
+        assert cs.next_stream == stream + 1
+        fresh = run_chain(cs.inst, cs.params, stream)
+        assert list(cs.logs[5].transitions()) == list(fresh.transitions())
+        assert cs.logs[5].initial_config() == fresh.initial_config()
+
+    def test_parked_chains_match_a_pool_that_never_shrinks(self):
+        # Pool A's count ceil(0.02 n) flips between 7 and 6 as n flips
+        # between 301 and 300; pool B keeps 7 chains. Same seed, same
+        # batches: after every batch A's active chains followed by its
+        # parked ones are B's chains, byte for byte, and no restore takes a
+        # stream.
+        n = 300
+        edges = _ring_plus_matching(n) + [(n, 0)]
+        inst = hardcore_instance(n + 1, edges, 0.2)
+        p = params(10 * n, seed=29, delta=1.0)
+        eps = PowerLogFn(0.1, 0.0, 0.0)
+        a = new_chain_set(inst, p, ScheduleFns(PowerLogFn(0.02, 1.0, 0.0), eps))
+        b = new_chain_set(inst, p, ScheduleFns(PowerLogFn(7.0, 0.0, 0.0), eps))
+        assert len(a.logs) == len(b.logs) == 7
+        stream = a.next_stream
+        rng = random.Random(29)
+        v, anchor = n, 0
+        for k in range(8):
+            if k % 2 == 0:
+                batch = UpdateBatch([DeleteEdge(v, anchor), DeleteVertex(v)])
+            else:
+                v, anchor = n + 1 + k, rng.randrange(n)
+                batch = UpdateBatch([AddVertex(v, hardcore_vertex(0.2)),
+                                     AddEdge(v, anchor, hardcore_edge())])
+            before = a.samples()
+            diff, metrics_a = apply_update_multi(a, batch)
+            _, metrics_b = apply_update_multi(b, batch)
+            after = a.samples()
+            assert len(a.logs) == (6 if k % 2 == 0 else 7)
+            assert len(a.parked) == 7 - len(a.logs)
+            assert a.next_stream == stream
+            pool = a.logs + a.parked
+            assert len(pool) == len(b.logs)
+            for la, lb in zip(pool, b.logs):
+                assert list(la.transitions()) == list(lb.transitions())
+                assert la.initial_config() == lb.initial_config()
+                assert la.final_config() == lb.final_config()
+            assert [(m.r_ham, m.r_graph, m.filter_size) for m in metrics_a] \
+                == [(m.r_ham, m.r_graph, m.filter_size) for m in metrics_b]
+            # In order: a popped chain carries its update entries, then its
+            # removal entries for the same vertices.
+            replayed = {i: dict(c) for i, c in before.items()}
+            for e in diff.entries:
+                cfg = replayed.setdefault(e.chain, {})
+                assert cfg.get(e.vertex) == e.old
+                if e.new is None:
+                    del cfg[e.vertex]
+                else:
+                    cfg[e.vertex] = e.new
+            assert {i: c for i, c in replayed.items() if c} == after
+            want = sample_diff(before, after)
+            assert diff.added_chains == want.added_chains
+            assert diff.removed_chains == want.removed_chains
 
     def test_infeasible_batch_leaves_pool_untouched(self):
         # A 3-colouring star whose centre gets a third neighbour: some
         # boundary then excludes every colour at the centre. The batch used to
         # rewrite the chains whose replay got there first, then raise.
-        inst = coloring_instance(4, [(0, 1), (0, 2)], 3)
-        cs = new_chain_set(inst, params(60, seed=7), self.schedule(40))
+        # Deleting the isolated vertex 4 first shrinks the pool from 40 to 32
+        # chains and parks 4 of them, which must stay untouched too.
+        inst = coloring_instance(5, [(0, 1), (0, 2)], 3)
+        sched = ScheduleFns(n_samples=PowerLogFn(8.0, 1.0, 0.0),
+                            eps=PowerLogFn(0.2, 0.0, 0.0))
+        cs = new_chain_set(inst, params(60, seed=7), sched)
+        apply_update_multi(cs, UpdateBatch([DeleteVertex(4)]))
+        assert (len(cs.logs), len(cs.parked)) == (32, 4)
 
         def state():
             return [(list(log.transitions()), log.initial_config(),
-                     log.final_config()) for log in cs.logs]
+                     log.final_config()) for log in cs.logs + cs.parked]
 
         before = state()
         inst_before, epoch, stream = cs.inst, cs.epoch, cs.next_stream
@@ -397,6 +476,7 @@ class TestChainPool:
             with pytest.raises(InfeasibleInstance):
                 apply_update_multi(cs, batch)
             assert state() == before
+            assert (len(cs.logs), len(cs.parked)) == (32, 4)
             assert cs.inst is inst_before
             assert (cs.epoch, cs.next_stream) == (epoch, stream)
 
@@ -423,16 +503,27 @@ class TestChainPool:
         centre = 0
         edges = {(centre, 1): EdgePotential(((NEG_INF, 0.0), (0.0, NEG_INF)))}
         edges.update({(centre, u): ising_edge(0.1) for u in range(2, 9)})
+        # The isolated vertex 10 is deleted first: ceil(n / 2) drops from 6
+        # to 5 chains, and one is parked.
         inst = MrfInstance(SpinDomain(2),
-                           {v: ising_vertex(0.0) for v in range(10)}, edges)
+                           {v: ising_vertex(0.0) for v in range(11)}, edges)
         assert validate_feasibility(inst).ok
-        cs = new_chain_set(inst, params(60, seed=8), self.schedule(5))
-        before = [(list(log.transitions()), log.final_config()) for log in cs.logs]
+        sched = ScheduleFns(n_samples=PowerLogFn(0.5, 1.0, 0.0),
+                            eps=PowerLogFn(0.2, 0.0, 0.0))
+        cs = new_chain_set(inst, params(60, seed=8), sched)
+        apply_update_multi(cs, UpdateBatch([DeleteVertex(10)]))
+        assert (len(cs.logs), len(cs.parked)) == (5, 1)
+
+        def state():
+            return [(list(log.transitions()), log.final_config())
+                    for log in cs.logs + cs.parked]
+
+        before = state()
         inst_before, epoch, stream = cs.inst, cs.epoch, cs.next_stream
         with pytest.raises(DegreeTooLarge):
             apply_update_multi(cs, UpdateBatch([AddEdge(centre, 9, ising_edge(0.1))]))
-        assert [(list(log.transitions()), log.final_config())
-                for log in cs.logs] == before
+        assert state() == before
+        assert (len(cs.logs), len(cs.parked)) == (5, 1)
         assert cs.inst is inst_before
         assert (cs.epoch, cs.next_stream) == (epoch, stream)
 
@@ -659,8 +750,10 @@ class TestVertexPhaseBytes:
     # transitions, initial and final configurations. The batches alternate
     # as the churn benchmark's do: add a vertex and attach it, then detach
     # it and delete it. ceil(0.02 n) flips between 6 and 7 as n flips
-    # between 300 and 301, so the pool also resizes on every batch.
-    SHA256 = "ea52fb4d8afd0b07e8ebc53a841cf7be2366cee6e57b13b6ca7ac2e30aa395e4"
+    # between 300 and 301, so the pool also resizes on every batch: the
+    # first batch draws chain 6 fresh, each delete parks it, and each later
+    # add restores it. The metrics include the parked chain's.
+    SHA256 = "8937e89f929c325481d655a2bc8bfde07bf1c5ae80bbba5076fbb6622b5e8481"
 
     def test_vertex_churn_batches(self):
         n = 300
