@@ -28,6 +28,9 @@ the length correction only appends or pops at the tail.
 
 A log also keeps the final configuration X_T as an explicit dict, updated
 incrementally by every mutation, so sample extraction is O(n) copying.
+
+The rank lists load_run builds hold shared int objects, one per rank for
+all logs (_RANK_INTS), so a pool of N logs holds T rank ints, not N·T.
 """
 
 from __future__ import annotations
@@ -37,6 +40,19 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import RankOutOfRange, UnknownVertex
+
+
+# One int object per rank, shared by the rank lists of every log that
+# load_run builds, so a rank costs each log an 8-byte list slot and not a
+# 32-byte int of its own. Grown on demand to the longest run loaded.
+_RANK_INTS: list[int] = [0]
+
+
+def _rank_ints(length: int) -> list[int]:
+    """The shared list [0, 1, ..., m] for some m >= length."""
+    if len(_RANK_INTS) <= length:
+        _RANK_INTS.extend(range(len(_RANK_INTS), length + 1))
+    return _RANK_INTS
 
 
 @dataclass(frozen=True)
@@ -108,8 +124,10 @@ class ExecutionLog:
         self._verts = verts
         self._spins = spins
         self._ranks = {v: [] for v in self._initial}
-        for i, v in enumerate(verts):
-            self._ranks[v].append(i + 1)
+        ranks = iter(_rank_ints(len(verts)))
+        next(ranks)  # rank 0 is no transition's
+        for v, r in zip(verts, ranks):
+            self._ranks[v].append(r)
         for v in old_vertices - set(self._initial):
             self._jdel(v)
         final = self._final

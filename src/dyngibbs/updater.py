@@ -516,9 +516,11 @@ def apply_update(
 # Chain pools
 # ---------------------------------------------------------------------------
 
-# After a shrink, at most this share of the new count stays parked, and at
-# least one chain; apply_update_multi drops the highest indices beyond it.
-PARKED_SHARE = 0.1
+# At most this many chains stay parked after a shrink; apply_update_multi
+# drops the highest indices beyond it. A parked chain is updated with every
+# batch, so a pool that shrinks and never grows back pays for this many extra
+# chains per batch for good.
+MAX_PARKED = 1
 
 
 @dataclass
@@ -605,8 +607,8 @@ def apply_update_multi(
     come last, and metrics holds one entry per updated chain in that order.
 
     Then the pool is resized. A shrink parks the popped tail chains, keeping
-    at most max(1, ceil(PARKED_SHARE * count)) of them, lowest indices
-    first. A growth restores parked chains first, which costs no steps and
+    at most MAX_PARKED of them, lowest indices first, so parking adds at most
+    that many chain updates to every batch. A growth restores parked chains first, which costs no steps and
     leaves next_stream alone, and runs a fresh run_chain (O(T)) on the next
     baseline stream only for each index no parked chain is left for. The
     count's changes depend only on n, never on a chain's draws, so a
@@ -645,15 +647,14 @@ def apply_update_multi(
     count = cs.schedule.sample_count(plan.final.n)
     removed: list[int] = []
     added: list[int] = []
-    if len(cs.logs) > count:
-        while len(cs.logs) > count:
-            dead = cs.logs.pop()
-            i = len(cs.logs)
-            removed.append(i)
-            for v, c in sorted(dead.final_config().items()):
-                entries.append(DiffEntry(i, v, c, None))
-            cs.parked.insert(0, dead)
-        del cs.parked[max(1, math.ceil(PARKED_SHARE * count)):]
+    while len(cs.logs) > count:
+        dead = cs.logs.pop()
+        i = len(cs.logs)
+        removed.append(i)
+        for v, c in sorted(dead.final_config().items()):
+            entries.append(DiffEntry(i, v, c, None))
+        cs.parked.insert(0, dead)
+    del cs.parked[MAX_PARKED:]
     while len(cs.logs) < count:
         i = len(cs.logs)
         if cs.parked:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dyngibbs import updater
+from dyngibbs import execlog, updater
 from dyngibbs.engine import ChainParams
 from dyngibbs.errors import RankOutOfRange, UnknownVertex
 from dyngibbs.execlog import ExecutionLog
@@ -121,6 +121,29 @@ class TestJournal:
         assert log.final_config() == {0: 0}
         with pytest.raises(UnknownVertex):
             log.evaluate(0, 7)
+
+    def test_loaded_logs_share_rank_ints(self):
+        # load_run takes each rank's int from one list shared by every log,
+        # grown on demand, so N logs hold T rank ints between them. An inner
+        # edit of one log leaves the other's ranks as they were.
+        rng = random.Random(5)
+        # longer than any run loaded so far, and past the small-int cache
+        T = max(len(execlog._RANK_INTS), 1000) + 50
+        initial = {0: 0, 1: 1, 2: 0}
+        verts = [rng.randrange(3) for _ in range(T)]
+        spins = [rng.randrange(2) for _ in range(T)]
+        a = ExecutionLog.from_run(initial, verts, spins)
+        b = ExecutionLog.from_run(initial, verts, spins)
+        twin = LinearLog(initial)
+        twin.verts, twin.spins = list(verts), list(spins)
+        for v in initial:
+            assert b.steps_of(v) == twin.steps_of(v)
+            assert all(x is y for x, y in zip(a.steps_of(v), b.steps_of(v)))
+        a.insert(1, 0, 1)
+        for v in initial:
+            assert b.steps_of(v) == twin.steps_of(v)
+            assert b.evaluate(T // 2, v) == twin.evaluate(T // 2, v)
+        assert b.final_config() == twin.final_config()
 
     def test_set_initial_journals_only_untouched_vertices(self):
         # X0 is also the final spin of a vertex with no transitions, and only

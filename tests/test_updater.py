@@ -373,8 +373,8 @@ class TestChainPool:
         assert len(cs.logs) == 6
         assert diff.added_chains == (4, 5)
         assert cs.next_stream == stream + 2
-        # Shrinking to 4 parks at most max(1, ceil(0.4)) = 1 chain: chain 4
-        # is parked, chain 5 is dropped.
+        # Shrinking to 4 parks at most MAX_PARKED = 1 chain: chain 4 is
+        # parked, chain 5 is dropped.
         chain4 = cs.logs[4]
         shrink = UpdateBatch([DeleteVertex(9), DeleteVertex(10)])
         diff, metrics = apply_update_multi(cs, shrink)
@@ -454,13 +454,13 @@ class TestChainPool:
         # boundary then excludes every colour at the centre. The batch used to
         # rewrite the chains whose replay got there first, then raise.
         # Deleting the isolated vertex 4 first shrinks the pool from 40 to 32
-        # chains and parks 4 of them, which must stay untouched too.
+        # chains and parks one of them, which must stay untouched too.
         inst = coloring_instance(5, [(0, 1), (0, 2)], 3)
         sched = ScheduleFns(n_samples=PowerLogFn(8.0, 1.0, 0.0),
                             eps=PowerLogFn(0.2, 0.0, 0.0))
         cs = new_chain_set(inst, params(60, seed=7), sched)
         apply_update_multi(cs, UpdateBatch([DeleteVertex(4)]))
-        assert (len(cs.logs), len(cs.parked)) == (32, 4)
+        assert (len(cs.logs), len(cs.parked)) == (32, 1)
 
         def state():
             return [(list(log.transitions()), log.initial_config(),
@@ -476,7 +476,7 @@ class TestChainPool:
             with pytest.raises(InfeasibleInstance):
                 apply_update_multi(cs, batch)
             assert state() == before
-            assert (len(cs.logs), len(cs.parked)) == (32, 4)
+            assert (len(cs.logs), len(cs.parked)) == (32, 1)
             assert cs.inst is inst_before
             assert (cs.epoch, cs.next_stream) == (epoch, stream)
 
