@@ -28,9 +28,6 @@ the length correction only appends or pops at the tail.
 
 A log also keeps the final configuration X_T as an explicit dict, updated
 incrementally by every mutation, so sample extraction is O(n) copying.
-
-The rank lists load_run builds hold shared int objects, one per rank for
-all logs (_RANK_INTS), so a pool of N logs holds T rank ints, not N·T.
 """
 
 from __future__ import annotations

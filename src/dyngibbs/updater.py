@@ -607,10 +607,11 @@ def apply_update_multi(
     come last, and metrics holds one entry per updated chain in that order.
 
     Then the pool is resized. A shrink parks the popped tail chains, keeping
-    at most MAX_PARKED of them, lowest indices first, so parking adds at most
-    that many chain updates to every batch. A growth restores parked chains first, which costs no steps and
-    leaves next_stream alone, and runs a fresh run_chain (O(T)) on the next
-    baseline stream only for each index no parked chain is left for. The
+    at most MAX_PARKED of them, lowest indices first, so parking adds at
+    most that many chain updates to every batch. A growth restores parked
+    chains first, which costs no steps and leaves next_stream alone, and
+    runs a fresh run_chain (O(T)) on the next baseline stream only for each
+    index no parked chain is left for. The
     count's changes depend only on n, never on a chain's draws, so a
     restored chain is distributed as a fresh run, like every other chain.
 
